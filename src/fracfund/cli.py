@@ -6,6 +6,7 @@ Exit codes are part of the contract: 0 success, 1 verification failure,
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -37,10 +38,26 @@ def _load_config(path):
         return json.load(fh), os.path.dirname(os.path.abspath(path))
 
 
+def _scalar(raw, name):
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ProblemSpecError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _integer(raw, name):
+    value = _scalar(raw, name)
+    if not value.is_integer():
+        raise ProblemSpecError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
 def _matrix(raw, n):
     arr = np.asarray(raw, dtype=float)
     if arr.shape != (n, n):
         raise ProblemSpecError(f"matrix shape {arr.shape} does not match n={n}")
+    if not np.isfinite(arr).all():
+        raise ProblemSpecError("matrix entries must be finite")
     return arr
 
 
@@ -48,6 +65,8 @@ def _vector(raw, n):
     arr = np.asarray(raw, dtype=float)
     if arr.shape != (n,):
         raise ProblemSpecError(f"vector shape {arr.shape} does not match n={n}")
+    if not np.isfinite(arr).all():
+        raise ProblemSpecError("vector entries must be finite")
     return arr
 
 
@@ -60,10 +79,10 @@ def _coefficient(spec, n, base_dir):
     if preset == "rotation":
         if n != 2:
             raise ProblemSpecError("rotation preset is 2x2")
-        return Coefficient.rotation(float(spec.get("scale", 1.0)))
+        return Coefficient.rotation(_scalar(spec.get("scale", 1.0), "scale"))
     if preset == "cosine":
         return Coefficient.cosine(_matrix(spec["matrix"], n),
-                                  float(spec.get("omega", 1.0)))
+                                  _scalar(spec.get("omega", 1.0), "omega"))
     if preset == "samples":
         gf = read_csv(_resolve(spec["path"], base_dir), value_shape=(n, n))
         return Coefficient.from_samples(gf)
@@ -78,7 +97,7 @@ def _forcing(spec, n, base_dir):
         return Forcing.constant(_vector(spec["vector"], n))
     if preset == "cosine":
         return Forcing.cosine(_vector(spec["vector"], n),
-                              float(spec.get("omega", 1.0)))
+                              _scalar(spec.get("omega", 1.0), "omega"))
     if preset == "samples":
         gf = read_csv(_resolve(spec["path"], base_dir), value_shape=(n,))
         return Forcing.from_samples(gf)
@@ -86,7 +105,7 @@ def _forcing(spec, n, base_dir):
 
 
 def _history(spec, alpha, t0, n, base_dir):
-    t_star = float(spec.get("t_star", t0))
+    t_star = _scalar(spec.get("t_star", t0), "t_star")
     if "w_star_csv" in spec:
         gf = read_csv(_resolve(spec["w_star_csv"], base_dir), value_shape=(n,))
         if gf.b > t_star:
@@ -112,14 +131,14 @@ def _history(spec, alpha, t0, n, base_dir):
 
 def load_problem(cfg, base_dir):
     """Build (problem, grid_N, tolerances) from a parsed config mapping."""
-    alpha = float(cfg["alpha"])
-    t0 = float(cfg.get("t0", 0.0))
-    theta = float(cfg["theta"])
-    n = int(cfg["n"])
+    alpha = _scalar(cfg["alpha"], "alpha")
+    t0 = _scalar(cfg.get("t0", 0.0), "t0")
+    theta = _scalar(cfg["theta"], "theta")
+    n = _integer(cfg["n"], "n")
     A = _coefficient(cfg.get("A", {"preset": "zero"}), n, base_dir)
     b = _forcing(cfg.get("b", {"preset": "zero"}), n, base_dir)
     history = _history(cfg.get("history", {}), alpha, t0, n, base_dir)
-    grid_N = int(cfg.get("grid_N", 512))
+    grid_N = _integer(cfg.get("grid_N", 512), "grid_N")
     if grid_N < 8:
         raise ProblemSpecError("grid_N must be at least 8")
     tolerances = dict(cfg.get("tolerances", {}))

@@ -4,16 +4,15 @@ The field F solves a weakly singular matrix Volterra equation whose value on
 the diagonal is Id/Gamma(alpha). Three routes are provided: an implicit
 product-integration march (production path), a fixed-point iteration under an
 exponentially weighted norm (cross-check), and a mirrored march for the dual
-field G that multiplies the coefficient from the right. A-priori sup and
+field G that multiplies the coefficient from the right, which is the same
+march run on the mirrored, transposed coefficient. A-priori sup and
 Hoelder bounds for F are computed from the coefficient's sup norm.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as _dcfield
 
 import numpy as np
@@ -131,46 +130,28 @@ def _check_grid(problem, grid):
         raise GridMismatchError("grid interval differs from the problem's")
 
 
-def _thread_count():
-    raw = os.environ.get("FRACFUND_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(int(raw), 1)
-    except ValueError:
-        return 1
+# Steps per block of the march: the history terms that reach back before a
+# block come from one GEMM at its start, the rest step by step.
+_BLOCK = 64
 
 
-def _blocks(total, workers):
-    # contiguous index ranges [lo, hi); empty ranges dropped
-    cuts = np.linspace(0, total, min(workers, total) + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
+def _march(Anodes, alpha, grid):
+    """solve_F's march on the coefficient samples Anodes.
 
+    Returns the NaN-padded square of field values and the phase times. Step
+    k of column j solves, for F_{j+k,j},
 
-def _run_blocks(fn, ranges):
-    if len(ranges) == 1:
-        fn(*ranges[0])
-        return
-    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-        futs = [pool.submit(fn, lo, hi) for lo, hi in ranges]
-        for f in futs:
-            f.result()
+        (I - c_k w_k[k] A_{j+k}) F_{j+k,j}
+            = Id/Gamma(alpha) + c_k sum_{m<k} w_k[m] A_{j+m} F_{j+m,j}.
 
-
-def solve_F(problem: CauchyProblem, grid: TriangleGrid) -> FundamentalField:
-    """Implicit product-integration march, column by column.
-
-    Column j marches upward from the diagonal. At step count k the unknown
-    node appears inside its own moment weight, so each step solves a small
-    n x n system. Columns are independent; FRACFUND_THREADS > 1 splits them
-    into contiguous blocks. The per-node arithmetic never depends on the
-    block layout, so results are bitwise identical for any thread count.
+    In the block of steps from k0 on, the terms m < k0 come from one GEMM of
+    the stacked weight rows against AF[:k0]; only k0 <= m < k are summed
+    step by step.
     """
-    _check_grid(problem, grid)
     t_start = time.perf_counter()
-    alpha, N, h, n = problem.alpha, grid.N, grid.h, problem.n
-    Anodes = problem.A.at(grid.t)
+    N, h, n = grid.N, grid.h, Anodes.shape[-1]
     tables = hat_moment_tables(N, alpha - 1.0, alpha - 1.0)
+    t_tables = time.perf_counter()
     ga = gamma(alpha)
     eye = np.eye(n)
     diag = eye / ga
@@ -178,31 +159,51 @@ def solve_F(problem: CauchyProblem, grid: TriangleGrid) -> FundamentalField:
 
     values = np.full((N + 1, N + 1, n, n), np.nan)
     values[np.arange(N + 1), np.arange(N + 1)] = diag
-    AF = np.empty((N + 1, N + 1, n, n))
+    AF = np.empty((N + 1, N + 1, n, n))  # AF[m, j] = A_{j+m} F_{j+m,j}
     AF[0] = Anodes / ga
 
-    def march(j0, j1):
-        for k in range(1, N - j0 + 1):
-            jmax = min(j1, N - k + 1)
-            if jmax <= j0:
-                return
+    for k0 in range(1, N + 1, _BLOCK):
+        k1 = min(k0 + _BLOCK, N + 1)
+        live = N - k0 + 1
+        W = np.stack([tables[k][:k0] for k in range(k0, k1)])
+        far = (W @ AF[:k0, :live].reshape(k0, -1)).reshape(k1 - k0, live, n, n)
+        for k in range(k0, k1):
+            cols = N - k + 1
             w = tables[k]
-            rhs = diag + ck[k] * np.einsum(
-                "m,mjab->jab", w[:k], AF[:k, j0:jmax], optimize=False)
-            sys = eye - (ck[k] * w[k]) * Anodes[j0 + k:jmax + k]
+            near = np.einsum("m,mjab->jab", w[k0:k], AF[k0:k, :cols],
+                             optimize=False)
+            rhs = diag + ck[k] * (far[k - k0, :cols] + near)
+            sys = eye - (ck[k] * w[k]) * Anodes[k:]
             try:
                 Fk = np.linalg.solve(sys, rhs)
             except np.linalg.LinAlgError:
                 raise SingularSystemError(
                     f"self-weight system singular at step {k}; refine N") from None
-            cols = np.arange(j0, jmax)
-            values[cols + k, cols] = Fk
-            AF[k, j0:jmax] = Anodes[j0 + k:jmax + k] @ Fk
+            j = np.arange(cols)
+            values[j + k, j] = Fk
+            AF[k, :cols] = Anodes[k:] @ Fk
 
-    _run_blocks(march, _blocks(N + 1, _thread_count()))
-    meta = {"method": "march", "N": N,
+    t_end = time.perf_counter()
+    return values, {"tables_s": t_tables - t_start, "march_s": t_end - t_tables}
+
+
+def solve_F(problem: CauchyProblem, grid: TriangleGrid) -> FundamentalField:
+    """Implicit product-integration march, column by column.
+
+    Column j marches upward from the diagonal. At step count k the unknown
+    node appears inside its own moment weight, so each step solves a small
+    n x n system. The steps run in blocks of 64: the history terms that reach
+    back before a block are one BLAS GEMM at the block's start, over every
+    step of the block and every column; the terms inside the block are
+    summed step by step. meta records the time spent on the hat-moment
+    tables (tables_s) and on the march (march_s).
+    """
+    _check_grid(problem, grid)
+    t_start = time.perf_counter()
+    values, phases = _march(problem.A.at(grid.t), problem.alpha, grid)
+    meta = {"method": "march", "N": grid.N, **phases,
             "wall_time": time.perf_counter() - t_start}
-    return FundamentalField(grid, alpha, values, meta)
+    return FundamentalField(grid, problem.alpha, values, meta)
 
 
 def solve_F_picard(problem: CauchyProblem, grid: TriangleGrid,
@@ -267,49 +268,19 @@ def solve_F_picard(problem: CauchyProblem, grid: TriangleGrid,
 
 
 def solve_G_dual(problem: CauchyProblem, grid: TriangleGrid) -> FundamentalField:
-    """Mirrored march for the dual field: coefficient multiplies from the right.
+    """Dual field G, whose equation multiplies the coefficient from the right.
 
-    Row i marches backward in the second argument from the diagonal. The
-    unknown sits at the lower node of the current step, so the small system
-    acts from the right; it is solved transposed. Rows are independent and
-    split across threads exactly like solve_F's columns.
+    G is solve_F's march run on the mirrored, transposed coefficient
+    A'(t) = A(t0 + theta - t)^T, mirrored back: G[i, j] = F'[N-j, N-i]^T.
+    The hat-moment weights are symmetric (w_k[m] = w_k[k-m]), so this is the
+    backward march in the second argument with the small systems solved
+    from the right. meta carries the same phase times as solve_F's.
     """
     _check_grid(problem, grid)
     t_start = time.perf_counter()
-    alpha, N, h, n = problem.alpha, grid.N, grid.h, problem.n
     Anodes = problem.A.at(grid.t)
-    tables = hat_moment_tables(N, alpha - 1.0, alpha - 1.0)
-    ga = gamma(alpha)
-    eye = np.eye(n)
-    diag = eye / ga
-    ck = (np.arange(N + 1) * h) ** alpha / ga
-
-    values = np.full((N + 1, N + 1, n, n), np.nan)
-    values[np.arange(N + 1), np.arange(N + 1)] = diag
-    GA = np.empty((N + 1, N + 1, n, n))  # GA[m, i] = G(t_i, t_{i-m}) A(t_{i-m})
-    GA[0] = values[np.arange(N + 1), np.arange(N + 1)] @ Anodes
-
-    def march(i0, i1):
-        for k in range(1, i1):
-            lo = max(i0, k)
-            if lo >= i1:
-                continue
-            w = tables[k]
-            rhs = diag + ck[k] * np.einsum(
-                "m,miab->iab", w[k:0:-1], GA[:k, lo:i1], optimize=False)
-            sys = eye - (ck[k] * w[0]) * Anodes[lo - k:i1 - k]
-            try:
-                Gk = np.linalg.solve(
-                    sys.transpose(0, 2, 1), rhs.transpose(0, 2, 1)
-                ).transpose(0, 2, 1)
-            except np.linalg.LinAlgError:
-                raise SingularSystemError(
-                    f"self-weight system singular at step {k}; refine N") from None
-            rows = np.arange(lo, i1)
-            values[rows, rows - k] = Gk
-            GA[k, lo:i1] = Gk @ Anodes[lo - k:i1 - k]
-
-    _run_blocks(march, _blocks(N + 1, _thread_count()))
-    meta = {"method": "dual_march", "N": N,
+    mirrored, phases = _march(np.swapaxes(Anodes[::-1], 1, 2), problem.alpha, grid)
+    values = np.ascontiguousarray(mirrored[::-1, ::-1].transpose(1, 0, 3, 2))
+    meta = {"method": "dual_march", "N": grid.N, **phases,
             "wall_time": time.perf_counter() - t_start}
-    return FundamentalField(grid, alpha, values, meta)
+    return FundamentalField(grid, problem.alpha, values, meta)

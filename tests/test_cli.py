@@ -75,6 +75,20 @@ def test_grid_too_coarse(tmp_path):
                  "--out", str(tmp_path / "o.csv")]) == 2
 
 
+@pytest.mark.parametrize("overrides", [
+    {"history": {"w0": [math.nan]}},
+    {"A": {"preset": "constant", "matrix": [[math.inf]]}},
+    {"theta": math.inf},
+    {"grid_N": 64.7},
+], ids=["nan-w0", "inf-matrix", "inf-theta", "fractional-grid_N"])
+def test_non_finite_or_fractional_input_rejected(tmp_path, overrides):
+    cfg = _write_config(tmp_path, **overrides)
+    out = tmp_path / "o.csv"
+    assert main(["solve", "--config", str(cfg), "--method", "direct",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_rotation_needs_two_dims(tmp_path):
     cfg = _write_config(tmp_path, n=3, A={"preset": "rotation"},
                         b={"preset": "zero"}, history={"w0": [0.0, 0.0, 0.0]})

@@ -12,6 +12,7 @@ from fracfund import (
     Forcing,
     GridMismatchError,
     NonConvergenceError,
+    SingularSystemError,
     TriangleGrid,
     bounds,
     gamma,
@@ -22,6 +23,7 @@ from fracfund import (
 )
 from fracfund.operators import op_constants
 from fracfund.oracle import constant_coeff_F
+from fracfund.quadrules import hat_moment_tables
 
 
 def _ivp(A, n=2, alpha=0.5, theta=1.0, w0=None):
@@ -120,6 +122,94 @@ def test_thread_count_is_invisible(monkeypatch):
     assert np.array_equal(G1.values, G4.values, equal_nan=True)
 
 
+def _reference_F(problem, grid):
+    # the unblocked march: one GEMV over the whole history per step
+    alpha, N, h, n = problem.alpha, grid.N, grid.h, problem.n
+    Anodes = problem.A.at(grid.t)
+    tables = hat_moment_tables(N, alpha - 1.0, alpha - 1.0)
+    eye = np.eye(n)
+    diag = eye / gamma(alpha)
+    ck = (np.arange(N + 1) * h) ** alpha / gamma(alpha)
+    values = np.full((N + 1, N + 1, n, n), np.nan)
+    values[np.arange(N + 1), np.arange(N + 1)] = diag
+    AF = np.empty((N + 1, N + 1, n, n))
+    AF[0] = Anodes / gamma(alpha)
+    for k in range(1, N + 1):
+        w, cols = tables[k], np.arange(N + 1 - k)
+        rhs = diag + ck[k] * np.einsum(
+            "m,mjab->jab", w[:k], AF[:k, :N + 1 - k], optimize=False)
+        Fk = np.linalg.solve(eye - (ck[k] * w[k]) * Anodes[k:], rhs)
+        values[cols + k, cols] = Fk
+        AF[k, :N + 1 - k] = Anodes[k:] @ Fk
+    return values
+
+
+def _reference_G(problem, grid):
+    # the backward march in the second argument, systems solved from the right
+    alpha, N, h, n = problem.alpha, grid.N, grid.h, problem.n
+    Anodes = problem.A.at(grid.t)
+    tables = hat_moment_tables(N, alpha - 1.0, alpha - 1.0)
+    eye = np.eye(n)
+    diag = eye / gamma(alpha)
+    ck = (np.arange(N + 1) * h) ** alpha / gamma(alpha)
+    values = np.full((N + 1, N + 1, n, n), np.nan)
+    values[np.arange(N + 1), np.arange(N + 1)] = diag
+    GA = np.empty((N + 1, N + 1, n, n))  # GA[m, i] = G(t_i, t_{i-m}) A(t_{i-m})
+    GA[0] = diag @ Anodes
+    for k in range(1, N + 1):
+        w, rows = tables[k], np.arange(k, N + 1)
+        rhs = diag + ck[k] * np.einsum(
+            "m,miab->iab", w[k:0:-1], GA[:k, k:], optimize=False)
+        sys = eye - (ck[k] * w[0]) * Anodes[:N + 1 - k]
+        Gk = np.linalg.solve(sys.transpose(0, 2, 1),
+                             rhs.transpose(0, 2, 1)).transpose(0, 2, 1)
+        values[rows, rows - k] = Gk
+        GA[k, k:] = Gk @ Anodes[:N + 1 - k]
+    return values
+
+
+def _drifting(n):
+    # time-varying, non-symmetric and not a scalar multiple of one matrix,
+    # so the mirror and the transpose of the dual march both matter
+    A0 = np.array([[0.2, 1.0], [-1.3, 0.1]])[:n, :n]
+    A1 = np.array([[-0.4, 0.3], [0.5, 0.6]])[:n, :n]
+    return Coefficient(n, lambda t: (np.cos(3.0 * t)[:, None, None] * A0
+                                     + t[:, None, None] * A1))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.7])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("N", [1, 2, 63, 64, 65, 130, 200])
+def test_blocked_march_matches_unblocked(N, n, alpha):
+    # the grid sizes straddle the edges of the 64-step blocks
+    w0 = np.ones(n)
+    p = CauchyProblem.from_initial_value(alpha, 0.2, 1.7, _drifting(n),
+                                         Forcing.zero(n), w0)
+    g = TriangleGrid(0.2, 1.7, N)
+    for got, ref in ((solve_F(p, g).values, _reference_F(p, g)),
+                     (solve_G_dual(p, g).values, _reference_G(p, g))):
+        assert np.array_equal(np.isnan(got), np.isnan(ref))
+        assert np.nanmax(np.abs(got - ref)) <= 1e-14
+
+
+def test_singular_self_weight_system():
+    # A = diag(a, 0) with c_1 w_1[1] a == 1 exactly: every step-1 system
+    # I - c_1 w_1[1] A is diag(0, 1), an exact zero pivot
+    alpha, N = 0.5, 16
+    g = TriangleGrid(0.0, 1.0, N)
+    c1 = ((np.arange(N + 1) * g.h) ** alpha / gamma(alpha))[1]
+    x = c1 * hat_moment_tables(N, alpha - 1.0, alpha - 1.0)[1][1]
+    a = 1.0 / x
+    while 1.0 - x * a != 0.0:
+        a = np.nextafter(a, np.inf if x * a < 1.0 else -np.inf)
+    assert 1.0 - x * a == 0.0
+    p = _ivp(Coefficient.constant([[a, 0.0], [0.0, 0.0]]), alpha=alpha)
+    with pytest.raises(SingularSystemError):
+        solve_F(p, g)
+    with pytest.raises(SingularSystemError):
+        solve_G_dual(p, g)
+
+
 def test_field_csv_layout(tmp_path):
     p = _ivp(Coefficient.rotation())
     N = 12
@@ -150,6 +240,9 @@ def test_meta_contents():
     assert m["method"] == "march" and m["N"] == 16 and m["wall_time"] >= 0.0
     d = solve_G_dual(p, g).meta
     assert d["method"] == "dual_march"
+    for meta in (m, d):
+        assert meta["tables_s"] >= 0.0 and meta["march_s"] >= 0.0
+        assert meta["tables_s"] + meta["march_s"] <= meta["wall_time"]
 
 
 # ------------------------------------------------------------------- bounds
