@@ -63,7 +63,9 @@ def _star_index(problem, N):
     return k0
 
 
-def _check_field(problem, field):
+def _field_star_index(problem, field):
+    """Node index of t_star on the field's grid, once the field is checked
+    to belong to the problem."""
     span = problem.theta - problem.t0
     g = field.grid
     if (abs(g.t0 - problem.t0) > 1e-12 * span
@@ -71,6 +73,7 @@ def _check_field(problem, field):
         raise GridMismatchError("field grid interval differs from the problem's")
     if field.n != problem.n or field.alpha != problem.alpha:
         raise GridMismatchError("field dimension or order differs from the problem's")
+    return _star_index(problem, g.N)
 
 
 def _prefix_values(problem, t, k0):
@@ -115,8 +118,8 @@ def equation_residual(problem, x: GridFn):
     bnodes = problem.b.at(t[k0:])
     v = np.einsum("mab,mb->ma", Anodes, x.values[k0:]) + bnodes
     M = N - k0
-    W = left_moment_weights(alpha, M, h)
-    rhs = w0 + hist + np.einsum("km,ma->ka", W[1:], v) / ga
+    W = left_moment_weights(alpha, N, h)
+    rhs = w0 + hist + np.einsum("km,ma->ka", W[1:M + 1, :M + 1], v) / ga
     return float(np.abs(x.values[k0 + 1:] - rhs).max())
 
 
@@ -142,7 +145,7 @@ def solve_direct(problem: CauchyProblem, N: int) -> Solution:
     ga = gamma(alpha)
     eye = np.eye(n)
     M = N - k0
-    W = left_moment_weights(alpha, M, h)
+    W = left_moment_weights(alpha, N, h)
 
     xv = np.empty((N + 1, n))
     xv[:k0 + 1] = _prefix_values(problem, t, k0)
@@ -159,10 +162,7 @@ def solve_direct(problem: CauchyProblem, N: int) -> Solution:
                 f"self-weight system singular at step {k}; refine N") from None
         v[k] = Anodes[i] @ xv[i] + bnodes[i]
 
-    x = GridFn(problem.t0, problem.theta, N, xv, PIECEWISE_LINEAR)
-    meta = {"N": N, "residual": equation_residual(problem, x),
-            "wall_time": time.perf_counter() - t_start}
-    return Solution(x, METHOD_DIRECT, meta)
+    return _assemble(problem, xv, METHOD_DIRECT, t_start)
 
 
 def _psi_defining(phi: GridFn, alpha, ts):
@@ -281,12 +281,16 @@ def b_star(problem: CauchyProblem, psi: GridFn) -> GridFn:
     return GridFn(psi.a, psi.b, psi.N, dq + bn, PIECEWISE_LINEAR)
 
 
-def _affine_part(field, k0, Anodes, bnodes, base_vec, W):
+def _affine_part(problem, field, k0, base_vec):
     """(Id + memory integral of F A) base + memory integral of F b,
-    on targets t_star + k h for k = 0..M."""
+    on targets t_star + k h for k = 0..N - k0."""
+    grid = field.grid
+    Anodes = problem.A.at(grid.t)
+    bnodes = problem.b.at(grid.t)
+    W = left_moment_weights(problem.alpha, grid.N, grid.h)
     values = field.values
     n = base_vec.size
-    M = W.shape[0] - 1
+    M = grid.N - k0
     eye = np.eye(n)
     out = np.empty((M + 1, n))
     out[0] = base_vec
@@ -312,8 +316,8 @@ def _memory_term(field, k0, alpha, g_nodes, g_first1, g_first2):
     N = field.grid.N
     M = N - k0
     n = g_nodes.shape[1]
-    tabs = hat_moment_tables(M, -alpha, alpha - 1.0)
-    sig0, sig1 = first_interval_moments(M, -alpha, alpha - 1.0)
+    tabs = hat_moment_tables(N, -alpha, alpha - 1.0)
+    sig0, sig1 = first_interval_moments(N, -alpha, alpha - 1.0)
     v1, w1 = jacobi_rule_01(SINGULAR_NODES, -alpha, alpha - 1.0)
     v2, w2 = jacobi_rule_01(SINGULAR_NODES, -alpha, 0.0)
     out = np.zeros((M + 1, n))
@@ -334,69 +338,60 @@ def _memory_term(field, k0, alpha, g_nodes, g_first1, g_first2):
     return out
 
 
-def _assemble(problem, xv, method, t_start, extra=None):
+def _assemble(problem, xv, method, t_start):
     x = GridFn(problem.t0, problem.theta, xv.shape[0] - 1, xv, PIECEWISE_LINEAR)
     meta = {"N": xv.shape[0] - 1, "residual": equation_residual(problem, x),
             "wall_time": time.perf_counter() - t_start}
-    if extra:
-        meta.update(extra)
     return Solution(x, method, meta)
-
-
-def _pc_values(problem, field):
-    N = field.grid.N
-    t = field.grid.t
-    h = field.grid.h
-    Anodes = problem.A.at(t)
-    bnodes = problem.b.at(t)
-    W = left_moment_weights(problem.alpha, N, h)
-    return _affine_part(field, 0, Anodes, bnodes, problem.w0, W)
 
 
 def represent_pc(problem: CauchyProblem, field: FundamentalField) -> Solution:
     """Representation formula for a start value given at t0 itself."""
-    _check_field(problem, field)
-    if _star_index(problem, field.grid.N) != 0:
+    if _field_star_index(problem, field) != 0:
         raise PreconditionError(
             "this formula requires the start segment to collapse to t0")
     t_start = time.perf_counter()
-    return _assemble(problem, _pc_values(problem, field), METHOD_PC, t_start)
+    return _assemble(problem, _affine_part(problem, field, 0, problem.w0),
+                     METHOD_PC, t_start)
 
 
-def represent_gc(problem: CauchyProblem, field: FundamentalField) -> Solution:
-    """General representation: memory enters through the split modified
-    forcing, with the continuation functional's cusp handled exactly."""
-    _check_field(problem, field)
-    t_start = time.perf_counter()
-    N = field.grid.N
-    k0 = _star_index(problem, N)
-    if k0 == 0:
-        return _assemble(problem, _pc_values(problem, field), METHOD_GC, t_start)
+def _general_formula(problem, field, k0, psi_nodes, anchor, start_vec,
+                     method, t_start):
+    """Shared tail of the two general formulas past t_star.
 
+    The memory term integrates psi - anchor, with its first subinterval from
+    the proper-integral form of psi; the affine part starts from start_vec;
+    nodes up to t_star come from the start segment.
+    """
     alpha = problem.alpha
-    t = field.grid.t
     h = field.grid.h
-    phi = problem.history.caputo_samples(alpha)
     w_seg = problem.history.w_star
-    psi_nodes = _psi_defining(phi, alpha, t[k0:])
-    anchor = psi_nodes[0]
     v1, _ = jacobi_rule_01(SINGULAR_NODES, -alpha, alpha - 1.0)
     v2, _ = jacobi_rule_01(SINGULAR_NODES, -alpha, 0.0)
     g1 = _psi_from_history(w_seg, alpha, problem.t_star + h * v1) - anchor
     g2 = _psi_from_history(w_seg, alpha, problem.t_star + h * v2) - anchor
     mem = _memory_term(field, k0, alpha, psi_nodes - anchor, g1, g2)
+    aff = _affine_part(problem, field, k0, start_vec)
 
-    Anodes = problem.A.at(t)
-    bnodes = problem.b.at(t)
-    M = N - k0
-    W = left_moment_weights(alpha, M, h)
-    start_val = w_seg.values[-1]
-    aff = _affine_part(field, k0, Anodes, bnodes, start_val, W)
-
-    xv = np.empty((N + 1, problem.n))
+    xv = np.empty((field.grid.N + 1, problem.n))
     xv[k0:] = aff + mem
-    xv[:k0 + 1] = _prefix_values(problem, t, k0)
-    return _assemble(problem, xv, METHOD_GC, t_start)
+    xv[:k0 + 1] = _prefix_values(problem, field.grid.t, k0)
+    return _assemble(problem, xv, method, t_start)
+
+
+def represent_gc(problem: CauchyProblem, field: FundamentalField) -> Solution:
+    """General representation: memory enters through the split modified
+    forcing, with the continuation functional's cusp handled exactly."""
+    t_start = time.perf_counter()
+    k0 = _field_star_index(problem, field)
+    if k0 == 0:
+        return _assemble(problem, _affine_part(problem, field, 0, problem.w0),
+                         METHOD_GC, t_start)
+    phi = problem.history.caputo_samples(problem.alpha)
+    psi_nodes = _psi_defining(phi, problem.alpha, field.grid.t[k0:])
+    return _general_formula(problem, field, k0, psi_nodes, psi_nodes[0],
+                            problem.history.w_star.values[-1], METHOD_GC,
+                            t_start)
 
 
 def represent_gc_compact(problem: CauchyProblem,
@@ -404,36 +399,15 @@ def represent_gc_compact(problem: CauchyProblem,
     """Compact representation: consumes only the segment itself, never its
     Caputo density.  The middle term is not continuous at t_star, so that
     node is set from the start segment, not from the formula."""
-    _check_field(problem, field)
     t_start = time.perf_counter()
-    N = field.grid.N
-    k0 = _star_index(problem, N)
+    k0 = _field_star_index(problem, field)
     if k0 == 0:
-        return _assemble(problem, _pc_values(problem, field),
+        return _assemble(problem, _affine_part(problem, field, 0, problem.w0),
                          METHOD_GC_COMPACT, t_start)
-
-    alpha = problem.alpha
-    t = field.grid.t
-    h = field.grid.h
-    w_seg = problem.history.w_star
-    psi_nodes = _psi_from_history(w_seg, alpha, t[k0:])
-    v1, _ = jacobi_rule_01(SINGULAR_NODES, -alpha, alpha - 1.0)
-    v2, _ = jacobi_rule_01(SINGULAR_NODES, -alpha, 0.0)
-    g1 = _psi_from_history(w_seg, alpha, problem.t_star + h * v1)
-    g2 = _psi_from_history(w_seg, alpha, problem.t_star + h * v2)
-    mem = _memory_term(field, k0, alpha, psi_nodes, g1, g2)
-
-    Anodes = problem.A.at(t)
-    bnodes = problem.b.at(t)
-    M = N - k0
-    W = left_moment_weights(alpha, M, h)
-    aff = _affine_part(field, k0, Anodes, bnodes, problem.w0, W)
-
-    xv = np.empty((N + 1, problem.n))
-    xv[k0:] = aff + mem
-    xv[k0] = w_seg.values[-1]
-    xv[:k0 + 1] = _prefix_values(problem, t, k0)
-    return _assemble(problem, xv, METHOD_GC_COMPACT, t_start)
+    psi_nodes = _psi_from_history(problem.history.w_star, problem.alpha,
+                                  field.grid.t[k0:])
+    return _general_formula(problem, field, k0, psi_nodes, 0.0, problem.w0,
+                            METHOD_GC_COMPACT, t_start)
 
 
 def gc_compact_identity_residual(problem, field, steps):
@@ -443,15 +417,14 @@ def gc_compact_identity_residual(problem, field, steps):
     the integral of F (t-.)^(alpha-1) (.-t_star)^(-alpha); returns the max
     entry residual at each requested step count past t_star.
     """
-    _check_field(problem, field)
+    k0 = _field_star_index(problem, field)
     alpha = problem.alpha
     N = field.grid.N
-    k0 = _star_index(problem, N)
     M = N - k0
     t = field.grid.t
     Anodes = problem.A.at(t)
-    W = left_moment_weights(alpha, M, field.grid.h)
-    tabs = hat_moment_tables(M, -alpha, alpha - 1.0)
+    W = left_moment_weights(alpha, N, field.grid.h)
+    tabs = hat_moment_tables(N, -alpha, alpha - 1.0)
     eye = np.eye(problem.n)
     ga1 = gamma(1.0 - alpha)
     out = []

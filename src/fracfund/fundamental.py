@@ -79,8 +79,7 @@ class FundamentalField:
         names = ",".join(f"F_{r+1}{c+1}" for r in range(n) for c in range(n))
         with open(path, "w", encoding="ascii", newline="") as fh:
             fh.write("t,s," + names + "\n")
-            for row in table:
-                fh.write(",".join("%.17g" % v for v in row) + "\n")
+            np.savetxt(fh, table, fmt="%.17g", delimiter=",")
 
 
 def z_value(field: FundamentalField, i, j):

@@ -93,11 +93,10 @@ def write_csv(fn: GridFn, path, label="v") -> None:
     digits so reloading reproduces the doubles exactly."""
     k = fn.components
     header = "t," + ",".join(f"{label}_{i + 1}" for i in range(k))
-    flat = fn.values.reshape(fn.N + 1, k)
+    table = np.column_stack([fn.t, fn.values.reshape(fn.N + 1, k)])
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(header + "\n")
-        for ti, row in zip(fn.t, flat):
-            fh.write(f"{ti:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",")
 
 
 def read_csv(path, value_shape=None) -> GridFn:
@@ -124,6 +123,9 @@ def read_csv(path, value_shape=None) -> GridFn:
         vals[i] = [float(p) for p in parts[1:]]
     if len(rows) < 1:
         raise DomainError("empty GridFn CSV")
+    finite = np.isfinite(t) & np.isfinite(vals).all(axis=1)
+    if not finite.all():
+        raise DomainError(f"row {np.argmin(finite) + 2} holds a non-finite number")
     if value_shape is None:
         value_shape = () if k == 1 else (k,)
     if int(np.prod(value_shape, dtype=int) if value_shape else 1) != k:

@@ -38,22 +38,24 @@ def jacobi_rule_01(n: int, p: float, q: float):
     return u, w
 
 
-def _hat_weights_single(alpha_exp_left, alpha_exp_right):
-    # k = 1: one subinterval touching both endpoints
-    u, w = jacobi_rule_01(SINGULAR_NODES, alpha_exp_left, alpha_exp_right)
-    return np.array([np.sum(w * (1.0 - u)), np.sum(w * u)])
+def _first_subinterval(k, eL, eR):
+    """Moments of u^eL (1-u)^eR against the hats of nodes 0 and 1 on [0, 1/k]."""
+    if k == 1:
+        # one subinterval touching both endpoints
+        v, base = jacobi_rule_01(SINGULAR_NODES, eL, eR)
+    else:
+        # left weight in the rule, rest evaluated
+        v, wv = jacobi_rule_01(SINGULAR_NODES, eL, 0.0)
+        base = wv * (1.0 - v / k) ** eR * k ** (-1.0 - eL)
+    return np.sum(base * (1.0 - v)), np.sum(base * v)
 
 
 def _hat_weights_k(k, eL, eR):
     """Moments of u^eL (1-u)^eR against the PL hats on nodes {m/k}, m=0..k."""
-    if k == 1:
-        return _hat_weights_single(eL, eR)
     omega = np.zeros(k + 1)
-    # first subinterval [0, 1/k]: left weight in the rule, rest evaluated
-    v, wv = jacobi_rule_01(SINGULAR_NODES, eL, 0.0)
-    base = wv * (1.0 - v / k) ** eR * k ** (-1.0 - eL)
-    omega[0] += np.sum(base * (1.0 - v))
-    omega[1] += np.sum(base * v)
+    omega[0], omega[1] = _first_subinterval(k, eL, eR)
+    if k == 1:
+        return omega
     # last subinterval [(k-1)/k, 1], mirrored
     v, wv = jacobi_rule_01(SINGULAR_NODES, eR, 0.0)
     u_last = 1.0 - v / k
@@ -70,7 +72,7 @@ def _hat_weights_k(k, eL, eR):
     return omega
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=4)
 def hat_moment_tables(N: int, eL: float, eR: float):
     """Per-k node weight vectors omega[k] (length k+1) for k = 1..N.
 
@@ -78,45 +80,48 @@ def hat_moment_tables(N: int, eL: float, eR: float):
     uniform u-nodes m/k; the approximation error is the Gauss error of
     analytic non-weight factors and sits far below the schemes' own
     discretization error.  Index 0 of the returned list is a placeholder.
-    Treat the result as immutable: it is cached and shared.
+    omega[k] depends only on k and the exponents, so one table at the grid's
+    N serves every caller that needs the rows k <= M for some M <= N.  The
+    cache is keyed by (N, eL, eR) and its rows are read-only: every solve and
+    restart on one grid shares them.
     """
     tables = [None]
     for k in range(1, N + 1):
-        tables.append(_hat_weights_k(k, eL, eR))
+        omega = _hat_weights_k(k, eL, eR)
+        omega.flags.writeable = False
+        tables.append(omega)
     return tables
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=4)
 def first_interval_moments(N: int, eL: float, eR: float):
     """Hat moments restricted to the first u-subinterval [0, 1/k], per k.
 
     Returns arrays (sig0, sig1) of length N+1 (index k) with the weight that
     subinterval 0 contributes to nodes 0 and 1.  Used when a caller replaces
     the piecewise-linear representation on the first subinterval by direct
-    quadrature and must subtract the table's own contribution there.
+    quadrature and must subtract the table's own contribution there.  Cached
+    and read-only like hat_moment_tables; entry k does not depend on N.
     """
     sig0 = np.zeros(N + 1)
     sig1 = np.zeros(N + 1)
     for k in range(1, N + 1):
-        if k == 1:
-            u, w = jacobi_rule_01(SINGULAR_NODES, eL, eR)
-            base = w
-            vloc = u
-        else:
-            v, wv = jacobi_rule_01(SINGULAR_NODES, eL, 0.0)
-            base = wv * (1.0 - v / k) ** eR * k ** (-1.0 - eL)
-            vloc = v
-        sig0[k] = np.sum(base * (1.0 - vloc))
-        sig1[k] = np.sum(base * vloc)
+        sig0[k], sig1[k] = _first_subinterval(k, eL, eR)
+    sig0.flags.writeable = sig1.flags.writeable = False
     return sig0, sig1
 
 
+@lru_cache(maxsize=1)
 def left_moment_weights(alpha: float, N: int, h: float) -> np.ndarray:
     """Weights W with  sum_j W[k, j] phi_j = int_a^{t_k} (t_k - tau)^(alpha-1) phi_pl(tau) dtau.
 
     Closed-form hat moments, exact for piecewise-linear data (no quadrature
     involved).  Row 0 is zero; W is lower triangular.  The 1/gamma(alpha)
-    normalization of a fractional integral is NOT included.
+    normalization of a fractional integral is NOT included.  Row k depends
+    only on k, alpha and h, so W[:M + 1, :M + 1] is the table for M <= N:
+    callers ask at the grid's N and read the rows they need.  The result is
+    read-only and cached for one (alpha, N, h) only: all callers on a problem's
+    grid share that key, and each kept entry pins an (N+1)^2 matrix.
     """
     W = np.zeros((N + 1, N + 1))
     ap1 = alpha + 1.0
@@ -128,6 +133,7 @@ def left_moment_weights(alpha: float, N: int, h: float) -> np.ndarray:
         m1 = (d * h) * m0 - ((d * h) ** ap1 - ((d - 1.0) * h) ** ap1) / ap1
         W[k, :k] += m0 - m1 / h
         W[k, 1:k + 1] += m1 / h
+    W.flags.writeable = False
     return W
 
 

@@ -89,6 +89,32 @@ def test_non_finite_or_fractional_input_rejected(tmp_path, overrides):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["samples", "w_star_csv", "caputo_csv",
+                                  "phi_csv"])
+def test_non_finite_csv_rejected(tmp_path, kind):
+    # one NaN value in the CSV the config names; the segment is [0, 0.5]
+    theta = 1.0 if kind == "samples" else 0.5
+    N = 64 if kind == "samples" else 32
+    vals = np.ones((N + 1, 1))
+    write_csv(GridFn(0.0, theta, N, vals), tmp_path / "good.csv")
+    vals[5, 0] = np.nan
+    write_csv(GridFn(0.0, theta, N, vals), tmp_path / "bad.csv")
+    overrides = {
+        "samples": {"b": {"preset": "samples", "path": "bad.csv"}},
+        "w_star_csv": {"history": {"w_star_csv": "bad.csv", "t_star": 0.5}},
+        "caputo_csv": {"history": {"w_star_csv": "good.csv",
+                                   "caputo_csv": "bad.csv", "t_star": 0.5}},
+        "phi_csv": {"history": {"generator": {"phi_csv": "bad.csv",
+                                              "w0": [0.0]},
+                                "t_star": 0.5}},
+    }[kind]
+    cfg = _write_config(tmp_path, **overrides)
+    out = tmp_path / "o.csv"
+    assert main(["solve", "--config", str(cfg), "--method", "direct",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_rotation_needs_two_dims(tmp_path):
     cfg = _write_config(tmp_path, n=3, A={"preset": "rotation"},
                         b={"preset": "zero"}, history={"w0": [0.0, 0.0, 0.0]})

@@ -214,11 +214,18 @@ def test_field_csv_layout(tmp_path):
     p = _ivp(Coefficient.rotation())
     N = 12
     F = solve_F(p, TriangleGrid(0.0, 1.0, N))
+    F.values[3, 1, 0, 1] = -0.0
+    F.values[7, 2, 1, 0] = 5e-324  # subnormal
     path = tmp_path / "field.csv"
     F.write_csv(path)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,s,F_11,F_12,F_21,F_22"
     assert len(lines) == (N + 1) * (N + 2) // 2 + 1
+    t = F.grid.t
+    want = "t,s,F_11,F_12,F_21,F_22\n" + "".join(
+        ",".join("%.17g" % v for v in (t[i], t[j], *F.values[i, j].ravel()))
+        + "\n" for i in range(N + 1) for j in range(i + 1))
+    assert path.read_bytes() == want.encode("ascii")
 
 
 def test_grid_interval_must_match():

@@ -81,9 +81,14 @@ def test_prefix_off_node_rejected():
 def test_csv_roundtrip_exact(tmp_path):
     rng = np.random.default_rng(7)
     vals = rng.standard_normal((9, 2))
+    vals[2, 0], vals[4, 1] = -0.0, 5e-324
     g = GridFn(0.25, 1.75, 8, vals)
     path = tmp_path / "vec.csv"
     write_csv(g, path)
+    want = "t,v_1,v_2\n" + "".join(
+        ",".join("%.17g" % v for v in (ti, *row)) + "\n"
+        for ti, row in zip(g.t, vals))
+    assert path.read_bytes() == want.encode("ascii")
     back = read_csv(path)
     assert back.N == 8 and back.a == 0.25 and back.b == 1.75
     np.testing.assert_array_equal(back.values, vals)  # bit-exact via 17 digits

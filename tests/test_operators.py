@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 
 from fracfund import (
+    CauchyProblem,
+    Coefficient,
     DomainError,
+    Forcing,
     GridFn,
     GridMismatchError,
+    History,
+    TriangleGrid,
     caputo_derivative,
     fractional_integral,
     gamma,
@@ -16,10 +21,13 @@ from fracfund import (
     kernel_K,
     op_constants,
     r_operator,
+    represent_gc,
+    solve_F,
 )
 from fracfund.operators import _KERNEL_SMALL_RATIO, _kernel_profile, beta_sym
 from fracfund.oracle import QuadSpec, adaptive_quad
 from fracfund.quadrules import (
+    first_interval_moments,
     hat_moment_tables,
     hypersingular_tail_weights,
     left_moment_weights,
@@ -301,3 +309,46 @@ def test_hat_tables_partition_of_unity():
     want = beta_sym(alpha)  # hats sum to one, so rows sum to the full moment
     for k in range(1, 9):
         assert tables[k].sum() == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("N, M", [(40, 17), (64, 63)])
+@pytest.mark.parametrize("alpha, eL, eR", [(0.35, -0.35, -0.65),
+                                           (0.6, -0.4, -0.4)])
+def test_table_rows_do_not_depend_on_table_size(N, M, alpha, eL, eR):
+    # one table at the grid's N serves every M <= N, bit for bit
+    big, small = hat_moment_tables(N, eL, eR), hat_moment_tables(M, eL, eR)
+    for k in range(1, M + 1):
+        assert np.array_equal(big[k], small[k])
+    for b, s in zip(first_interval_moments(N, eL, eR),
+                    first_interval_moments(M, eL, eR)):
+        assert np.array_equal(b[:M + 1], s)
+    h = 1.0 / N
+    assert np.array_equal(left_moment_weights(alpha, N, h)[:M + 1, :M + 1],
+                          left_moment_weights(alpha, M, h))
+
+
+def test_cached_weight_tables_are_read_only():
+    W = left_moment_weights(0.5, 8, 0.125)
+    with pytest.raises(ValueError):
+        W[1, 0] = 1.0
+    with pytest.raises(ValueError):
+        hat_moment_tables(8, -0.5, -0.5)[3][0] = 1.0
+    with pytest.raises(ValueError):
+        first_interval_moments(8, -0.5, -0.5)[0][1] = 1.0
+
+
+def test_restarts_share_one_table_per_grid():
+    A = Coefficient.rotation()
+    b = Forcing.constant([1.0, 0.0])
+    N = 64
+    p = CauchyProblem.from_initial_value(0.5, 0.0, 1.0, A, b, [1.0, 0.0])
+    fld = solve_F(p, TriangleGrid(0.0, 1.0, N))
+    hat_moment_tables.cache_clear()
+    first_interval_moments.cache_clear()
+    for k0 in (20, 40):
+        t = np.linspace(0.0, k0 / N, k0 + 1)
+        seg = GridFn(0.0, k0 / N, k0, np.stack([np.cos(t), t], axis=1))
+        represent_gc(CauchyProblem(0.5, 0.0, 1.0, A, b,
+                                   History.from_samples(seg)), fld)
+    assert hat_moment_tables.cache_info().misses == 1
+    assert first_interval_moments.cache_info().misses == 1
