@@ -8,6 +8,8 @@ a pass means the bound holds with margin on every probed point.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from .cauchy import (METHOD_DIRECT, b_star, equation_residual, psi_star,
@@ -61,9 +63,15 @@ def special_checks(alpha, ml_tol=1e-14):
     return out
 
 
-def operator_checks(problem, N):
+def _operator_records(problem, N):
+    """The two operator-identity records, then the four operator-bound ones.
+
+    Both groups probe phi = cos 3t, so R phi and J phi are computed once.
+    """
     alpha = problem.alpha
+    oc = op_constants(alpha)
     t = np.linspace(problem.t0, problem.theta, N + 1)
+    h = (problem.theta - problem.t0) / N
     out = []
     x = GridFn(problem.t0, problem.theta, N, (t - problem.t0) ** 2)
     back = fractional_integral(caputo_derivative(x, alpha), alpha)
@@ -71,29 +79,18 @@ def operator_checks(problem, N):
         "op_roundtrip_quadratic",
         np.abs(back.values - (x.values - x.values[0])).max(), 1e-3))
     phi = GridFn(problem.t0, problem.theta, N, np.cos(3.0 * t))
-    lhs = j_operator(phi, alpha)
-    inner = GridFn(problem.t0, problem.theta, N,
-                   phi.values + r_operator(phi, alpha).values)
+    rv = r_operator(phi, alpha).values
+    jv = j_operator(phi, alpha).values
+    inner = GridFn(problem.t0, problem.theta, N, phi.values + rv)
     rhs = fractional_integral(inner, alpha)
     out.append(_record("op_transfer_identity",
-                       np.abs(lhs.values - rhs.values).max(), 1e-4))
-    return out
+                       np.abs(jv - rhs.values).max(), 1e-4))
 
-
-def operator_bound_checks(problem, N):
-    alpha = problem.alpha
-    oc = op_constants(alpha)
-    t = np.linspace(problem.t0, problem.theta, N + 1)
-    h = (problem.theta - problem.t0) / N
-    phi = GridFn(problem.t0, problem.theta, N, np.cos(3.0 * t))
     absphi = np.abs(phi.values)
     runmax = np.maximum.accumulate(absphi)
     supphi = absphi.max()
-    out = []
-
-    r = np.abs(r_operator(phi, alpha).values)
     out.append(_record("bound_r_node",
-                       (r - SLACK * oc.M_R * runmax).max(), 0.0))
+                       (np.abs(rv) - SLACK * oc.M_R * runmax).max(), 0.0))
 
     dt_pow = np.abs(t[:, None] - t[None, :]) ** alpha
     iv = fractional_integral(phi, alpha).values
@@ -101,7 +98,6 @@ def operator_bound_checks(problem, N):
     np.fill_diagonal(excess, -1.0)
     out.append(_record("bound_i_hoelder", excess.max(), 0.0))
 
-    jv = j_operator(phi, alpha).values
     excess = np.abs(jv[:, None] - jv[None, :]) - SLACK * oc.H_J * supphi * dt_pow
     np.fill_diagonal(excess, -1.0)
     out.append(_record("bound_j_hoelder", excess.max(), 0.0))
@@ -111,6 +107,14 @@ def operator_bound_checks(problem, N):
     out.append(_record("bound_j_integral",
                        (np.abs(jv)[1:] - rhs[1:]).max(), 0.0))
     return out
+
+
+def operator_checks(problem, N):
+    return _operator_records(problem, N)[:2]
+
+
+def operator_bound_checks(problem, N):
+    return _operator_records(problem, N)[2:]
 
 
 def _lattice_points(N, target=33):
@@ -171,24 +175,35 @@ def _constant_matrix(problem):
 
 
 def run_suite(problem: CauchyProblem, grid_N: int, tolerances=None):
-    """Full invariant sweep for one configured problem; returns records."""
+    """Full invariant sweep for one configured problem; returns the records
+    and the wall seconds of each check group."""
     tol = dict(tolerances or {})
     ml_tol = float(tol.get("ml_tol", 1e-14))
     N = int(grid_N)
     alpha = problem.alpha
+    phases = {}
+    marks = [time.perf_counter()]
+
+    def lap(phase):
+        marks.append(time.perf_counter())
+        phases[phase] = phases.get(phase, 0.0) + marks[-1] - marks[-2]
+
     records = []
     records += special_checks(alpha, ml_tol)
-    records += operator_checks(problem, N)
-    records += operator_bound_checks(problem, N)
+    lap("special")
+    records += _operator_records(problem, N)
+    lap("operators")
 
     grid = TriangleGrid(problem.t0, problem.theta, N)
     field = solve_F(problem, grid)
     apb = bounds(problem)
     records += field_checks(problem, field, apb)
+    lap("field")
 
     dual = solve_G_dual(problem, grid)
     records.append(_record(
         "duality", np.nanmax(np.abs(field.values - dual.values)), 5e-3))
+    lap("dual")
 
     A0 = _constant_matrix(problem)
     if A0 is not None:
@@ -198,6 +213,7 @@ def run_suite(problem: CauchyProblem, grid_N: int, tolerances=None):
                    - constant_coeff_F(A0, alpha, i * grid.h)).max()
             for i in idx)
         records.append(_record("field_vs_constant_oracle", dev, 5e-3))
+    lap("field")
 
     sols = {METHOD_DIRECT: solve_direct(problem, N)}
     at_start = problem.t_star == problem.t0
@@ -227,6 +243,7 @@ def run_suite(problem: CauchyProblem, grid_N: int, tolerances=None):
     dev = max(np.abs(sol.x.values[:k0 + 1] - prefix_ref).max()
               for sol in sols.values())
     records.append(_record("initial_condition_prefix", dev, 1e-12))
+    lap("solutions")
 
     if at_start:
         k_cut = max(1, round(0.4 * N))
@@ -237,10 +254,11 @@ def run_suite(problem: CauchyProblem, grid_N: int, tolerances=None):
         re_sol = represent_gc(restarted, field)
         dev = np.abs(re_sol.x.values[k_cut:] - base.x.values[k_cut:]).max()
         records.append(_record("restart_consistency", dev, EQUIV_TOL_GC))
+        lap("restart")
     else:
         records += history_functional_checks(problem, N)
-
-    return records
+        lap("history")
+    return records, phases
 
 
 def history_functional_checks(problem, N):

@@ -191,10 +191,10 @@ def cmd_solve(args):
 def cmd_verify(args):
     cfg, base_dir = _load_config(args.config)
     problem, grid_N, tolerances = load_problem(cfg, base_dir)
-    records = run_suite(problem, grid_N, tolerances)
+    records, phases = run_suite(problem, grid_N, tolerances)
     ok = all_pass(records)
     report = {"alpha": problem.alpha, "grid_N": grid_N,
-              "checks": records, "all_pass": ok}
+              "checks": records, "all_pass": ok, "phases": phases}
     with open(args.report, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")

@@ -16,21 +16,16 @@ from scipy.special import hyp2f1
 
 from .errors import DomainError, GridMismatchError
 from .gridfn import GridFn
-from .quadrules import (
-    KERNEL_NODES,
-    hat_moment_tables,
-    jacobi_rule_01,
-    left_moment_weights,
-)
+from .quadrules import hat_moment_tables, jacobi_rule_01, left_moment_weights
 from .special import gamma
 
 # geometric grading used near the singular end of the R-operator integrals
 _GRADE_LEVELS = 20
 _GRADE_NODES = 8
 _TAIL_NODES = 4
-# below this tau/xi ratio the fixed kernel rule loses accuracy to the nearby
-# pole and evaluation switches to the hypergeometric closed form
-_KERNEL_SMALL_RATIO = 0.02
+# the R-operator weights are built a block of rows at a time, whose panel
+# arrays hold at most about this many values at any N
+_BLOCK_VALUES = 1 << 17
 
 
 def _check_alpha(alpha):
@@ -118,22 +113,13 @@ def _kernel_profile(s: np.ndarray, alpha: float) -> np.ndarray:
     """E(s) = int_0^1 eta^a (1-eta)^(-a) (s + eta(1-s))^(-a) deta, s in (0, 1].
 
     E is the scale-free profile of K: K(xi, tau) = tau^(alpha-1) xi^(-alpha)
-    E(tau/xi).  The fixed 64-node Jacobi rule handles s away from 0; for
-    s < _KERNEL_SMALL_RATIO the integrand's pole at eta = -s/(1-s) crowds the
-    interval and the Euler-integral hypergeometric form takes over.
+    E(tau/xi).  The Pfaff transformation (Abramowitz & Stegun 15.3.4) of the
+    Euler integral gives the closed form
+    E(s) = (alpha pi / sin(alpha pi)) 2F1(alpha, 1-alpha; 2; 1-s), whose
+    argument stays in [0, 1) for every s in (0, 1].
     """
-    s = np.asarray(s, dtype=float)
-    out = np.empty_like(s)
-    big = s >= _KERNEL_SMALL_RATIO
-    if np.any(big):
-        u, w = jacobi_rule_01(KERNEL_NODES, alpha, -alpha)
-        sb = s[big][:, None]
-        out[big] = ((sb + u[None, :] * (1.0 - sb)) ** (-alpha)) @ w
-    if np.any(~big):
-        sl = s[~big]
-        pref = alpha * math.pi / math.sin(alpha * math.pi)
-        out[~big] = pref * sl ** (-alpha) * hyp2f1(alpha, 1.0 + alpha, 2.0, 1.0 - 1.0 / sl)
-    return out
+    pref = alpha * math.pi / math.sin(alpha * math.pi)
+    return pref * hyp2f1(alpha, 1.0 - alpha, 2.0, 1.0 - np.asarray(s, dtype=float))
 
 
 def kernel_K(xi: float, tau: float, alpha: float) -> float:
@@ -147,34 +133,23 @@ def kernel_K(xi: float, tau: float, alpha: float) -> float:
     tau = float(tau)
     if not (xi > 0.0 and 0.0 < tau < xi):
         raise DomainError(f"kernel_K requires 0 < tau < xi, got tau={tau}, xi={xi}")
-    s = tau / xi
-    return float(tau ** (alpha - 1.0) * xi ** (-alpha) * _kernel_profile(np.array([s]), alpha)[0])
-
-
-def _r_grading(k: int):
-    """Geometric pieces of [0, 1/k] toward 0: ratio 1/2, _GRADE_LEVELS levels.
-
-    Returns the smooth pieces plus the innermost cut, whose algebraic weight
-    is handled by a dedicated rule in the caller.
-    """
-    pieces = []
-    upper = 1.0 / k
-    for _ in range(_GRADE_LEVELS):
-        lower = upper / 2.0
-        pieces.append((lower, upper))
-        upper = lower
-    return pieces, upper
+    return float(tau ** (alpha - 1.0) * xi ** (-alpha) * _kernel_profile(tau / xi, alpha))
 
 
 def r_operator(phi: GridFn, alpha: float, side: str = "left") -> GridFn:
     """R operator: prefactor (1-alpha) sin(alpha pi)/pi against the kernel K.
 
-    By homogeneity each node value reduces to a fixed-interval integral
-    c_alpha * int_0^1 u^(alpha-1) E(u) phi(a + (t-a)u) du, evaluated with
-    grid-aligned panels, geometric grading toward u = 0, and an innermost
-    panel carrying the algebraic weight.  The base node holds the operator's
-    right-limit (alpha B(alpha, alpha) - 1) phi(a), which keeps the result
-    continuous for continuous phi and the uniform bound valid at every node.
+    By homogeneity the value at t_k = a + k h reduces to a fixed-interval
+    integral c_alpha * int_0^1 u^(alpha-1) E(u) phi(a + k h u) du.  Its first
+    grid interval, u in [0, 1/k], is cut into geometric pieces toward u = 0
+    and an innermost piece whose rule carries the algebraic weight; in
+    v = k u these pieces are the same for every k.  Each further interval
+    j/k..(j+1)/k is one 10-node Gauss-Legendre panel.  Every piece sits on
+    one grid interval, where phi is linear, so node k is a weighted sum of
+    node values, built for a block of rows at a time.
+    The base node holds the operator's right-limit
+    (alpha B(alpha, alpha) - 1) phi(a), which keeps the result continuous for
+    continuous phi and the uniform bound valid at every node.
     """
     alpha = _check_alpha(alpha)
     if side not in ("left", "right"):
@@ -186,36 +161,38 @@ def r_operator(phi: GridFn, alpha: float, side: str = "left") -> GridFn:
         return GridFn(phi.a, phi.b, 0, limit * phi.values.copy())
 
     N = phi.N
+    flat = _flat(phi.values)
     c_alpha = (1.0 - alpha) * math.sin(alpha * math.pi) / math.pi
+    # the first grid interval in v = k u: pieces [lo, 2 lo] down to lo = eps,
+    # then [0, eps], whose rule carries v^(alpha-1); u^(alpha-1) du is
+    # k^(-alpha) v^(alpha-1) dv
     gl_u, gl_w = jacobi_rule_01(_GRADE_NODES, 0.0, 0.0)
     tail_u, tail_w = jacobi_rule_01(_TAIL_NODES, alpha - 1.0, 0.0)
+    lo = 0.5 ** np.arange(1, _GRADE_LEVELS + 1)[:, None]
+    v = lo * (1.0 + gl_u)
+    eps = 0.5 ** _GRADE_LEVELS
+    wv = np.concatenate([(gl_w * lo * v ** (alpha - 1.0)).ravel(),
+                         tail_w * eps ** alpha])
+    v = np.concatenate([v.ravel(), eps * tail_u])
     sm_u, sm_w = jacobi_rule_01(10, 0.0, 0.0)
 
-    out = np.empty_like(phi.values)
-    out[0] = (alpha * beta_sym(alpha) - 1.0) * phi.values[0]
-    for k in range(1, N + 1):
-        pieces, eps = _r_grading(k)
-        us = []
-        ws = []
-        for lo, hi in pieces:
-            width = hi - lo
-            uu = lo + width * gl_u
-            us.append(uu)
-            ws.append(gl_w * width * uu ** (alpha - 1.0))
-        # innermost piece [0, eps]: weight u^(alpha-1) carried by the rule
-        uu = eps * tail_u
-        us.append(uu)
-        ws.append(tail_w * eps ** alpha)
-        if k > 1:
-            j = np.arange(1, k, dtype=float)[:, None]
-            uu = (j + sm_u[None, :]) / k
-            us.append(uu.ravel())
-            ws.append((sm_w[None, :] / k * uu ** (alpha - 1.0)).ravel())
-        u_all = np.concatenate(us)
-        w_all = np.concatenate(ws) * _kernel_profile(u_all, alpha)
-        samples = phi.sample(phi.a + (k * phi.h) * u_all)
-        out[k] = c_alpha * np.tensordot(w_all, samples, axes=(0, 0))
-    return GridFn(phi.a, phi.b, N, out)
+    out = np.empty_like(flat)
+    out[0] = (alpha * beta_sym(alpha) - 1.0) * flat[0]
+    rows_per_block = max(1, _BLOCK_VALUES // (10 * N))
+    for k0 in range(1, N + 1, rows_per_block):
+        k = np.arange(k0, min(k0 + rows_per_block, N + 1))
+        kf = k[:, None].astype(float)
+        g = wv * kf ** (-alpha) * _kernel_profile(v / kf, alpha)
+        blk = np.outer(g @ (1.0 - v), flat[0]) + np.outer(g @ v, flat[1])
+        # panel j/k..(j+1)/k for 1 <= j < k: nodes j and j+1
+        rows, j = np.nonzero(np.arange(1, k[-1]) < k[:, None])
+        j += 1
+        uu = (j[:, None] + sm_u) / kf[rows]
+        f = sm_w / kf[rows] * uu ** (alpha - 1.0) * _kernel_profile(uu, alpha)
+        np.add.at(blk, rows, (f @ (1.0 - sm_u))[:, None] * flat[j]
+                  + (f @ sm_u)[:, None] * flat[j + 1])
+        out[k] = c_alpha * blk
+    return GridFn(phi.a, phi.b, N, out.reshape(phi.values.shape))
 
 
 def j_operator(phi: GridFn, alpha: float, side: str = "left") -> GridFn:

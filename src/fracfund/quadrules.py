@@ -15,7 +15,6 @@ from scipy.special import roots_jacobi, roots_legendre
 
 SINGULAR_NODES = 32
 SMOOTH_NODES = 16
-KERNEL_NODES = 64
 
 
 @lru_cache(maxsize=64)
@@ -29,7 +28,10 @@ def jacobi_rule_01(n: int, p: float, q: float):
         x, w = roots_legendre(n)
         scale = 0.5
     else:
-        x, w = roots_jacobi(n, q, p)
+        # p + q = -1 makes SciPy divide by (about) zero at k = 1, in a value
+        # its own np.where discards: nodes and weights are unaffected
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x, w = roots_jacobi(n, q, p)
         scale = 2.0 ** (-1.0 - p - q)
     u = 0.5 * (x + 1.0)
     w = w * scale

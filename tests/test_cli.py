@@ -6,14 +6,16 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fracfund
-from fracfund import GridFn, gamma, read_csv, write_csv
+from fracfund import GridFn, checks, gamma, read_csv, write_csv
 from fracfund.cli import main
+from fracfund.quadrules import jacobi_rule_01
 
 
 def _write_config(tmp_path, name="cfg.json", **overrides):
@@ -293,6 +295,51 @@ def test_verify_clean_problem(tmp_path):
         assert rec["pass"] is True
     by_name = {r["name"]: r for r in doc["checks"]}
     assert by_name["duality"]["residual"] <= 1e-12  # zero coefficient: exact
+
+
+def test_verify_report_phases(tmp_path):
+    cfg = _write_config(tmp_path, b={"preset": "zero"},
+                        history={"w0": [1.0]}, grid_N=64)
+    report = tmp_path / "report.json"
+    assert main(["verify", "--config", str(cfg), "--report", str(report)]) == 0
+    phases = json.loads(report.read_text())["phases"]
+    assert list(phases) == ["special", "operators", "field", "dual",
+                            "solutions", "restart"]
+    for seconds in phases.values():
+        assert math.isfinite(seconds) and seconds >= 0.0
+
+
+def test_verify_runs_r_operator_once(tmp_path, monkeypatch):
+    calls = []
+    r_operator = checks.r_operator
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return r_operator(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "r_operator", counted)
+    cfg = _write_config(tmp_path, grid_N=64)
+    report = tmp_path / "report.json"
+    assert main(["verify", "--config", str(cfg), "--report", str(report)]) == 0
+    assert len(calls) == 1
+
+
+def test_verify_generator_history_without_warnings(tmp_path):
+    # the cauchy exponent pair (-alpha, alpha - 1) once made SciPy warn
+    phi = GridFn(0.0, 0.5, 64, np.ones((65, 1)))
+    write_csv(phi, tmp_path / "phi.csv")
+    cfg = _write_config(
+        tmp_path, alpha=0.55, b={"preset": "zero"}, grid_N=128,
+        history={"generator": {"w0": [0.0], "phi_csv": "phi.csv"},
+                 "t_star": 0.5},
+    )
+    report = tmp_path / "report.json"
+    jacobi_rule_01.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", "--config", str(cfg), "--report", str(report)])
+    assert code == 0
+    assert json.loads(report.read_text())["all_pass"] is True
 
 
 def test_verify_reports_failures(tmp_path):

@@ -1,7 +1,9 @@
 """Operator family: fractional integrals, Caputo L1, kernel profile, R and J."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,12 +26,13 @@ from fracfund import (
     represent_gc,
     solve_F,
 )
-from fracfund.operators import _KERNEL_SMALL_RATIO, _kernel_profile, beta_sym
+from fracfund.operators import _kernel_profile, beta_sym
 from fracfund.oracle import QuadSpec, adaptive_quad
 from fracfund.quadrules import (
     first_interval_moments,
     hat_moment_tables,
     hypersingular_tail_weights,
+    jacobi_rule_01,
     left_moment_weights,
     left_moments_at,
 )
@@ -101,16 +104,20 @@ def test_kernel_profile_zero_limit(alpha):
         assert abs(got - KERNEL_E0[alpha]) <= 3.0 * s ** (1.0 - alpha)
 
 
-@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
-def test_kernel_branch_seam(alpha):
-    # quadrature branch must agree with the hypergeometric form at the switch
-    from scipy.special import hyp2f1
-
-    for s in (_KERNEL_SMALL_RATIO, 0.05):
-        rule_val = _kernel_profile(np.array([s]), alpha)[0]
-        pref = alpha * math.pi / math.sin(alpha * math.pi)
-        closed = pref * s ** (-alpha) * hyp2f1(alpha, 1.0 + alpha, 2.0, 1.0 - 1.0 / s)
-        assert rule_val == pytest.approx(closed, rel=1e-9)
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+def test_kernel_profile_vs_mpmath(alpha):
+    # both hypergeometric forms of E at 30 digits: the Pfaff form
+    # 2F1(a, 1-a; 2; 1-s) and s^(-a) 2F1(a, 1+a; 2; 1-1/s)
+    with mpmath.workdps(30):
+        a = mpmath.mpf(alpha)
+        pref = a * mpmath.pi / mpmath.sin(a * mpmath.pi)
+        for s in (1e-12, 1e-6, 0.0199, 0.02, 0.05, 0.5, 1.0):
+            got = _kernel_profile(np.array([s]), alpha)[0]
+            sm = mpmath.mpf(s)
+            pfaff = pref * mpmath.hyp2f1(a, 1 - a, 2, 1 - sm)
+            euler = pref * sm ** (-a) * mpmath.hyp2f1(a, 1 + a, 2, 1 - 1 / sm)
+            for want in (pfaff, euler):
+                assert abs(got - want) <= 1e-13 * abs(want), (s, got, want)
 
 
 @pytest.mark.parametrize("tau", [0.5, 0.01])
@@ -242,6 +249,56 @@ def test_r_vector_shape():
     assert out.values.shape == (N + 1, 2)
 
 
+def _r_operator_rows(phi, alpha):
+    """The R operator row by row, sampling phi at every quadrature node: the
+    reference for the blocked weight build, left side."""
+    N = phi.N
+    c_alpha = (1.0 - alpha) * math.sin(alpha * math.pi) / math.pi
+    gl_u, gl_w = jacobi_rule_01(8, 0.0, 0.0)
+    tail_u, tail_w = jacobi_rule_01(4, alpha - 1.0, 0.0)
+    sm_u, sm_w = jacobi_rule_01(10, 0.0, 0.0)
+    out = np.empty_like(phi.values)
+    out[0] = (alpha * beta_sym(alpha) - 1.0) * phi.values[0]
+    for k in range(1, N + 1):
+        us, ws = [], []
+        upper = 1.0 / k
+        for _ in range(20):
+            lower = upper / 2.0
+            uu = lower + (upper - lower) * gl_u
+            us.append(uu)
+            ws.append(gl_w * (upper - lower) * uu ** (alpha - 1.0))
+            upper = lower
+        us.append(upper * tail_u)
+        ws.append(tail_w * upper ** alpha)
+        if k > 1:
+            j = np.arange(1, k, dtype=float)[:, None]
+            uu = (j + sm_u[None, :]) / k
+            us.append(uu.ravel())
+            ws.append((sm_w[None, :] / k * uu ** (alpha - 1.0)).ravel())
+        u_all = np.concatenate(us)
+        w_all = np.concatenate(ws) * _kernel_profile(u_all, alpha)
+        samples = phi.sample(phi.a + (k * phi.h) * u_all)
+        out[k] = c_alpha * np.tensordot(w_all, samples, axes=(0, 0))
+    return GridFn(phi.a, phi.b, N, out)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 17, 64, 130])
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+def test_r_operator_matches_row_loop(N, alpha):
+    a, b = 0.2, 1.7
+    t = np.linspace(a, b, N + 1)
+    for vals in (np.cos(3.0 * t), np.stack([np.cos(3.0 * t), t * np.exp(t)], 1)):
+        phi = GridFn(a, b, N, vals)
+        for side in ("left", "right"):
+            if side == "left":
+                want = _r_operator_rows(phi, alpha).values
+            else:
+                want = _r_operator_rows(GridFn(a, b, N, vals[::-1]), alpha).values[::-1]
+            got = r_operator(phi, alpha, side).values
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_j_constant_closed_form():
     alpha, a, b, N = 0.35, 0.0, 1.0, 48
     phi = _grid(a, b, N, lambda t: np.ones_like(t))
@@ -335,6 +392,17 @@ def test_cached_weight_tables_are_read_only():
         hat_moment_tables(8, -0.5, -0.5)[3][0] = 1.0
     with pytest.raises(ValueError):
         first_interval_moments(8, -0.5, -0.5)[0][1] = 1.0
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.3, 0.55])
+def test_jacobi_rule_with_exponent_sum_minus_one_is_silent(alpha):
+    # the cauchy exponent pair (-alpha, alpha - 1), built past the cache; at
+    # these orders SciPy's recurrence hits 0/0 (0.25, 0.55) or x/0 (0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, w = jacobi_rule_01.__wrapped__(32, -alpha, alpha - 1.0)
+    assert np.all(np.isfinite(u)) and np.all(np.isfinite(w))
+    assert w.sum() == pytest.approx(math.gamma(1.0 - alpha) * math.gamma(alpha), rel=1e-13)
 
 
 def test_restarts_share_one_table_per_grid():
