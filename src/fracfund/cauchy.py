@@ -86,16 +86,11 @@ def _prefix_values(problem, t, k0):
 def _history_integrals(phi: GridFn, alpha, ts):
     """(1/Gamma(alpha)) * integral over the start segment of the memory kernel
     (t - tau)^(alpha-1) against phi, one value per requested t."""
-    n = phi.value_shape[0]
-    out = np.zeros((len(ts), n))
-    if phi.N == 0:
-        return out
-    nodes = phi.t
-    flat = phi.values
-    ga = gamma(alpha)
-    for idx, tt in enumerate(ts):
-        out[idx] = left_moments_at(alpha, nodes, tt) @ flat / ga
-    return out
+    out = np.empty((len(ts), phi.value_shape[0]))
+    for lo in range(0, len(ts), _PSI_CHUNK):
+        w = left_moments_at(alpha, phi.t, ts[lo:lo + _PSI_CHUNK])
+        out[lo:lo + _PSI_CHUNK] = w @ phi.values
+    return out / gamma(alpha)
 
 
 def equation_residual(problem, x: GridFn):
@@ -229,21 +224,17 @@ def _psi_from_history(w_star: GridFn, alpha, ts):
     close to t_star, where the defining quadrature does not.
     """
     ts = np.asarray(ts, dtype=float)
-    n = w_star.value_shape[0]
-    out = np.zeros((len(ts), n))
-    if w_star.N == 0:
-        return out
+    out = np.empty((len(ts), w_star.value_shape[0]))
     dw = w_star.values - w_star.values[0]
     tstar = w_star.b
-    nodes = w_star.t
     pref = alpha / gamma(1.0 - alpha)
-    span = max(tstar - w_star.a, 1.0)
-    for idx, tt in enumerate(ts):
-        if tt - tstar <= 1e-12 * span:
-            out[idx] = dw[-1] / gamma(1.0 - alpha)
-        else:
-            wts = hypersingular_tail_weights(alpha, nodes, tt)
-            out[idx] = pref * (tt - tstar) ** alpha * (wts @ dw)
+    at_star = ts - tstar <= 1e-12 * max(tstar - w_star.a, 1.0)
+    out[at_star] = dw[-1] / gamma(1.0 - alpha)
+    away = np.flatnonzero(~at_star)
+    for lo in range(0, away.size, _PSI_CHUNK):
+        idx = away[lo:lo + _PSI_CHUNK]
+        wts = hypersingular_tail_weights(alpha, w_star.t, ts[idx])
+        out[idx] = pref * (ts[idx] - tstar)[:, None] ** alpha * (wts @ dw)
     return out
 
 
@@ -283,24 +274,18 @@ def b_star(problem: CauchyProblem, psi: GridFn) -> GridFn:
 
 def _affine_part(problem, field, k0, base_vec):
     """(Id + memory integral of F A) base + memory integral of F b,
-    on targets t_star + k h for k = 0..N - k0."""
+    on targets t_star + k h for k = 0..N - k0, summed as
+    base + memory integral of F (A base + b)."""
     grid = field.grid
-    Anodes = problem.A.at(grid.t)
-    bnodes = problem.b.at(grid.t)
+    g = problem.A.at(grid.t) @ base_vec + problem.b.at(grid.t)
     W = left_moment_weights(problem.alpha, grid.N, grid.h)
-    values = field.values
-    n = base_vec.size
     M = grid.N - k0
-    eye = np.eye(n)
-    out = np.empty((M + 1, n))
+    out = np.empty((M + 1, base_vec.size))
     out[0] = base_vec
     for k in range(1, M + 1):
         i = k0 + k
-        Frow = values[i, k0:i + 1]
-        FA = np.matmul(Frow, Anodes[k0:i + 1])
-        SA = np.einsum("m,mab->ab", W[k, :k + 1], FA)
-        Fb = np.einsum("mab,mb->ma", Frow, bnodes[k0:i + 1])
-        out[k] = (eye + SA) @ base_vec + W[k, :k + 1] @ Fb
+        Fg = np.einsum("mab,mb->ma", field.values[i, k0:i + 1], g[k0:i + 1])
+        out[k] = base_vec + W[k, :k + 1] @ Fg
     return out
 
 
@@ -323,7 +308,7 @@ def _memory_term(field, k0, alpha, g_nodes, g_first1, g_first2):
     out = np.zeros((M + 1, n))
     for k in range(1, M + 1):
         i = k0 + k
-        w = tabs[k].copy()
+        w = tabs[k, :k + 1].copy()
         w[0] -= sig0[k]
         w[1] -= sig1[k]
         Frow = values[i, k0:i + 1]
@@ -435,6 +420,6 @@ def gc_compact_identity_residual(problem, field, steps):
         Frow = field.values[i, k0:i + 1]
         lhs = eye + np.einsum("m,mab->ab",
                               W[k, :k + 1], np.matmul(Frow, Anodes[k0:i + 1]))
-        rhs = np.einsum("m,mab->ab", tabs[k], Frow) / ga1
+        rhs = np.einsum("m,mab->ab", tabs[k, :k + 1], Frow) / ga1
         out.append(float(np.abs(lhs - rhs).max()))
     return out

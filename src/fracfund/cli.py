@@ -146,6 +146,13 @@ def load_problem(cfg, base_dir):
     return problem, grid_N, tolerances
 
 
+def _load(args):
+    """Config, problem, grid size and tolerances; grid_N also goes on args."""
+    cfg, base_dir = _load_config(args.config)
+    problem, args.grid_N, tolerances = load_problem(cfg, base_dir)
+    return cfg, problem, args.grid_N, tolerances
+
+
 def _write_sidecar(path, payload):
     with open(str(path) + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -153,8 +160,7 @@ def _write_sidecar(path, payload):
 
 
 def cmd_fundamental(args):
-    cfg, base_dir = _load_config(args.config)
-    problem, grid_N, tolerances = load_problem(cfg, base_dir)
+    cfg, problem, grid_N, tolerances = _load(args)
     grid = TriangleGrid(problem.t0, problem.theta, grid_N)
     if cfg.get("field_method", "march") == "picard":
         field = solve_F_picard(problem, grid,
@@ -175,8 +181,7 @@ _SOLVERS = {
 
 
 def cmd_solve(args):
-    cfg, base_dir = _load_config(args.config)
-    problem, grid_N, _ = load_problem(cfg, base_dir)
+    _, problem, grid_N, _ = _load(args)
     if args.method == "direct":
         sol = solve_direct(problem, grid_N)
     else:
@@ -189,8 +194,7 @@ def cmd_solve(args):
 
 
 def cmd_verify(args):
-    cfg, base_dir = _load_config(args.config)
-    problem, grid_N, tolerances = load_problem(cfg, base_dir)
+    _, problem, grid_N, tolerances = _load(args)
     records, phases = run_suite(problem, grid_N, tolerances)
     ok = all_pass(records)
     report = {"alpha": problem.alpha, "grid_N": grid_N,
@@ -256,6 +260,9 @@ def main(argv=None) -> int:
     except (NonConvergenceError, SingularSystemError, ToleranceNotMetError,
             np.linalg.LinAlgError, FloatingPointError, OverflowError) as err:
         return _fail(EXIT_NUMERICS, err)
+    except MemoryError:
+        grid_N = getattr(args, "grid_N", "?")
+        return _fail(EXIT_NUMERICS, f"out of memory at grid_N = {grid_N}")
     except (KeyError, TypeError, ValueError, OSError) as err:
         # covers the domain/spec/grid errors, bad JSON, and missing files
         return _fail(EXIT_CONFIG, err)

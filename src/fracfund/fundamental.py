@@ -144,7 +144,7 @@ def _march(Anodes, alpha, grid):
             = Id/Gamma(alpha) + c_k sum_{m<k} w_k[m] A_{j+m} F_{j+m,j}.
 
     In the block of steps from k0 on, the terms m < k0 come from one GEMM of
-    the stacked weight rows against AF[:k0]; only k0 <= m < k are summed
+    the block's weight rows against AF[:k0]; only k0 <= m < k are summed
     step by step.
     """
     t_start = time.perf_counter()
@@ -164,15 +164,14 @@ def _march(Anodes, alpha, grid):
     for k0 in range(1, N + 1, _BLOCK):
         k1 = min(k0 + _BLOCK, N + 1)
         live = N - k0 + 1
-        W = np.stack([tables[k][:k0] for k in range(k0, k1)])
-        far = (W @ AF[:k0, :live].reshape(k0, -1)).reshape(k1 - k0, live, n, n)
+        far = (tables[k0:k1, :k0] @ AF[:k0, :live].reshape(k0, -1)
+               ).reshape(k1 - k0, live, n, n)
         for k in range(k0, k1):
             cols = N - k + 1
-            w = tables[k]
-            near = np.einsum("m,mjab->jab", w[k0:k], AF[k0:k, :cols],
+            near = np.einsum("m,mjab->jab", tables[k, k0:k], AF[k0:k, :cols],
                              optimize=False)
             rhs = diag + ck[k] * (far[k - k0, :cols] + near)
-            sys = eye - (ck[k] * w[k]) * Anodes[k:]
+            sys = eye - (ck[k] * tables[k, k]) * Anodes[k:]
             try:
                 Fk = np.linalg.solve(sys, rhs)
             except np.linalg.LinAlgError:
@@ -242,9 +241,9 @@ def solve_F_picard(problem: CauchyProblem, grid: TriangleGrid,
         nxt[0] = diag
         bnorm = 0.0
         for k in range(1, N + 1):
-            w = tables[k]
             upd = diag + ck[k] * np.einsum(
-                "m,mjab->jab", w, AP[:k + 1, :N + 1 - k], optimize=False)
+                "m,mjab->jab", tables[k, :k + 1], AP[:k + 1, :N + 1 - k],
+                optimize=False)
             dk = np.abs(upd - cur[k, :N + 1 - k]).sum(axis=-1).max()
             bnorm = max(bnorm, dk * decay[k])
             nxt[k, :N + 1 - k] = upd

@@ -211,9 +211,6 @@ def j_operator(phi: GridFn, alpha: float, side: str = "left") -> GridFn:
         return GridFn(phi.a, phi.b, 0, np.zeros_like(phi.values))
     N, h = phi.N, phi.h
     tables = hat_moment_tables(N, alpha - 1.0, alpha - 1.0)
-    flat = _flat(phi.values)
-    out = np.zeros_like(flat)
-    ga = gamma(alpha)
-    for k in range(1, N + 1):
-        out[k] = ((k * h) ** alpha / ga) * (tables[k] @ flat[: k + 1])
+    scale = (np.arange(N + 1) * h) ** alpha / gamma(alpha)
+    out = scale[:, None] * (tables @ _flat(phi.values))
     return GridFn(phi.a, phi.b, N, out.reshape(phi.values.shape))

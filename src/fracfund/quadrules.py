@@ -1,20 +1,25 @@
 """Fixed quadrature rules and product-integration weight tables.
 
 Everything here is deterministic: node counts are fixed constants, never
-adaptive, so repeated runs produce identical bits.  The tables encode hat
-function moments against the algebraic weights that appear once the
-integration variable is normalized to [0, 1]; they depend only on the grid
-size and the weight exponents, which is what lets the Volterra marches reuse
-one table family across all columns.
+adaptive, so repeated runs produce identical bits.  The weights are hat
+function moments: of (t - tau)^(p-1) in one closed form, and of the
+u^eL (1-u)^eR of the normalized marches by fixed Gauss rules.  Every table
+is a read-only, dense, lower-triangular (N+1) x (N+1) array whose row k
+holds the weights of nodes 0..k for target k and does not depend on N, so
+one table at the grid's N serves every caller on that grid.
 """
 
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import roots_jacobi, roots_legendre
 
 SINGULAR_NODES = 32
 SMOOTH_NODES = 16
+# hat_moment_tables sums its interior panels for this many rows at a time,
+# so the partial sums stay in cache
+_TABLE_ROWS = 64
 
 
 @lru_cache(maxsize=64)
@@ -40,59 +45,10 @@ def jacobi_rule_01(n: int, p: float, q: float):
     return u, w
 
 
-def _first_subinterval(k, eL, eR):
-    """Moments of u^eL (1-u)^eR against the hats of nodes 0 and 1 on [0, 1/k]."""
-    if k == 1:
-        # one subinterval touching both endpoints
-        v, base = jacobi_rule_01(SINGULAR_NODES, eL, eR)
-    else:
-        # left weight in the rule, rest evaluated
-        v, wv = jacobi_rule_01(SINGULAR_NODES, eL, 0.0)
-        base = wv * (1.0 - v / k) ** eR * k ** (-1.0 - eL)
-    return np.sum(base * (1.0 - v)), np.sum(base * v)
-
-
-def _hat_weights_k(k, eL, eR):
-    """Moments of u^eL (1-u)^eR against the PL hats on nodes {m/k}, m=0..k."""
-    omega = np.zeros(k + 1)
-    omega[0], omega[1] = _first_subinterval(k, eL, eR)
-    if k == 1:
-        return omega
-    # last subinterval [(k-1)/k, 1], mirrored
-    v, wv = jacobi_rule_01(SINGULAR_NODES, eR, 0.0)
-    u_last = 1.0 - v / k
-    base = wv * u_last ** eL * k ** (-1.0 - eR)
-    omega[k - 1] += np.sum(base * v)
-    omega[k] += np.sum(base * (1.0 - v))
-    if k > 2:
-        s, ws = jacobi_rule_01(SMOOTH_NODES, 0.0, 0.0)
-        m = np.arange(1, k - 1)[:, None]
-        u_mid = (m + s[None, :]) / k
-        f = ws[None, :] * u_mid ** eL * (1.0 - u_mid) ** eR / k
-        omega[1:k - 1] += np.sum(f * (1.0 - s[None, :]), axis=1)
-        omega[2:k] += np.sum(f * s[None, :], axis=1)
-    return omega
-
-
-@lru_cache(maxsize=4)
-def hat_moment_tables(N: int, eL: float, eR: float):
-    """Per-k node weight vectors omega[k] (length k+1) for k = 1..N.
-
-    omega[k][m] approximates  int_0^1 u^eL (1-u)^eR hat_m(u) du  on the
-    uniform u-nodes m/k; the approximation error is the Gauss error of
-    analytic non-weight factors and sits far below the schemes' own
-    discretization error.  Index 0 of the returned list is a placeholder.
-    omega[k] depends only on k and the exponents, so one table at the grid's
-    N serves every caller that needs the rows k <= M for some M <= N.  The
-    cache is keyed by (N, eL, eR) and its rows are read-only: every solve and
-    restart on one grid shares them.
-    """
-    tables = [None]
-    for k in range(1, N + 1):
-        omega = _hat_weights_k(k, eL, eR)
-        omega.flags.writeable = False
-        tables.append(omega)
-    return tables
+def _lower_toeplitz(c):
+    """Read-only view T with T[k, j] = c[k - j] for j <= k, zero above."""
+    padded = np.concatenate([c[::-1], np.zeros_like(c[1:])])
+    return sliding_window_view(padded, c.size)[::-1]
 
 
 @lru_cache(maxsize=4)
@@ -102,15 +58,89 @@ def first_interval_moments(N: int, eL: float, eR: float):
     Returns arrays (sig0, sig1) of length N+1 (index k) with the weight that
     subinterval 0 contributes to nodes 0 and 1.  Used when a caller replaces
     the piecewise-linear representation on the first subinterval by direct
-    quadrature and must subtract the table's own contribution there.  Cached
-    and read-only like hat_moment_tables; entry k does not depend on N.
+    quadrature and must subtract the table's own contribution there: they
+    are the very values hat_moment_tables puts into its columns 0 and 1.
+    Cached and read-only like hat_moment_tables; entry k does not depend on N.
     """
     sig0 = np.zeros(N + 1)
     sig1 = np.zeros(N + 1)
-    for k in range(1, N + 1):
-        sig0[k], sig1[k] = _first_subinterval(k, eL, eR)
+    # k = 1: one subinterval touching both endpoints
+    v, base = jacobi_rule_01(SINGULAR_NODES, eL, eR)
+    sig0[1], sig1[1] = np.sum(base * (1.0 - v)), np.sum(base * v)
+    # k >= 2: left weight in the rule, rest evaluated
+    v, wv = jacobi_rule_01(SINGULAR_NODES, eL, 0.0)
+    k = np.arange(2, N + 1, dtype=float)[:, None]
+    base = wv * (1.0 - v / k) ** eR * k ** (-1.0 - eL)
+    sig0[2:], sig1[2:] = np.sum(base * (1.0 - v), axis=1), np.sum(base * v, axis=1)
     sig0.flags.writeable = sig1.flags.writeable = False
     return sig0, sig1
+
+
+_first_panel = first_interval_moments.__wrapped__
+
+
+@lru_cache(maxsize=2)
+def hat_moment_tables(N: int, eL: float, eR: float):
+    """Dense table T of hat moments of u^eL (1-u)^eR, rows k = 0..N.
+
+    T[k, m] for m <= k approximates  int_0^1 u^eL (1-u)^eR hat_m(u) du  on
+    the uniform u-nodes m/k; the approximation error is the Gauss error of
+    analytic non-weight factors and sits far below the schemes' own
+    discretization error.  Row 0 and every entry above the diagonal are zero.
+    Row k depends only on k and the exponents, so T[:M + 1, :M + 1] is the
+    table for M <= N and one table at the grid's N serves every caller on
+    the grid.  The result is read-only and cached for two exponent pairs:
+    a grid uses (alpha-1, alpha-1) for the march and J, and
+    (-alpha, alpha-1) for the representation formulas.
+    """
+    T = np.zeros((N + 1, N + 1))
+    # the first subinterval [0, 1/k]; for k >= 2 the last one is the first one
+    # of the mirrored kernel u^eR (1-u)^eL (uncached: no cache entry for it)
+    T[:, 0], T[:, 1] = _first_panel(N, eL, eR)
+    last_k, last_km1 = _first_panel(N, eR, eL)
+    k = np.arange(2, N + 1)
+    T[k, k - 1] += last_km1[2:]
+    T[k, k] += last_k[2:]
+    # interior panel m of row k, [m/k, (m+1)/k] for 1 <= m <= k-2: with
+    # d = k-1-m its integrand is k^(-eL-eR) (m+s)^eL (d+1-s)^eR, so two power
+    # tables P[i, m] and Q[i, d] over the Legendre nodes s_i give every panel;
+    # P[:, 0] and Q[:, 0] are the end panels, zeroed here because the Jacobi
+    # rules above carry them
+    s, ws = jacobi_rule_01(SMOOTH_NODES, 0.0, 0.0)
+    j = np.arange(N + 1, dtype=float)
+    P = (j + s[:, None]) ** eL
+    Q = (j + 1.0 - s[:, None]) ** eR
+    P[:, 0] = Q[:, 0] = 0.0
+    P_lo = (ws * (1.0 - s))[:, None] * P  # panel m's weight on node m
+    P_hi = (ws * s)[:, None] * P  # and on node m+1
+    Qd = [_lower_toeplitz(q) for q in Q]  # Qd[i][k-1, m] = Q[i, k-1-m]
+    for k0 in range(1, N + 1, _TABLE_ROWS):
+        k1 = min(k0 + _TABLE_ROWS, N + 1)
+        lo = np.zeros((k1 - k0, k1 - 1))
+        hi = np.zeros((k1 - k0, k1 - 1))
+        for i in range(SMOOTH_NODES):
+            q = Qd[i][k0 - 1:k1 - 1, :k1 - 1]
+            lo += q * P_lo[i, :k1 - 1]
+            hi += q * P_hi[i, :k1 - 1]
+        c = np.arange(k0, k1, dtype=float)[:, None] ** (-1.0 - eL - eR)
+        T[k0:k1, :k1 - 1] += c * lo
+        T[k0:k1, 1:k1] += c * hi
+    T.flags.writeable = False
+    return T
+
+
+def _hat_moments(s, p, h):
+    """Closed-form hat weights of the kernel s^(p-1), s = t - tau.
+
+    s holds the distances before t of nodes h apart, farthest first, so
+    interval i spans the distances sa = s[i] > s > sb = s[i+1].  With
+    m0 = int s^(p-1) ds  and  m1 = int s^(p-1) (sa - s) ds  over it, returns
+    the weights (m0 - m1/h, m1/h) of each interval's far and near node.
+    """
+    sp, sq = s ** p, s ** (p + 1.0)
+    m0 = (sp[..., :-1] - sp[..., 1:]) / p
+    m1 = s[..., :-1] * m0 - (sq[..., :-1] - sq[..., 1:]) / (p + 1.0)
+    return m0 - m1 / h, m1 / h
 
 
 @lru_cache(maxsize=1)
@@ -125,60 +155,41 @@ def left_moment_weights(alpha: float, N: int, h: float) -> np.ndarray:
     read-only and cached for one (alpha, N, h) only: all callers on a problem's
     grid share that key, and each kept entry pins an (N+1)^2 matrix.
     """
+    # W[k, j] depends on k - j alone: the interval at distance d before t_k
+    # gives far[d-1] to its far node and near[d-1] to its near node
+    far, near = _hat_moments(h * np.arange(N, -1, -1.0), alpha, h)
+    far, near = far[::-1], near[::-1]
     W = np.zeros((N + 1, N + 1))
-    ap1 = alpha + 1.0
-    for k in range(1, N + 1):
-        d = np.arange(k, 0, -1, dtype=float)  # (t_k - tau_j)/h for j = 0..k-1
-        sig_a = (d * h) ** alpha
-        sig_b = ((d - 1.0) * h) ** alpha
-        m0 = (sig_a - sig_b) / alpha
-        m1 = (d * h) * m0 - ((d * h) ** ap1 - ((d - 1.0) * h) ** ap1) / ap1
-        W[k, :k] += m0 - m1 / h
-        W[k, 1:k + 1] += m1 / h
+    W[1:, 0] = far
+    W[1:, 1:] = _lower_toeplitz(np.concatenate([near[:1], far[:-1] + near[1:]]))
     W.flags.writeable = False
     return W
 
 
-def left_moments_at(alpha: float, nodes: np.ndarray, t: float):
-    """Hat moments of (t - tau)^(alpha-1) on an arbitrary node set, t >= nodes[-1].
+def left_moments_at(alpha: float, nodes: np.ndarray, t):
+    """Hat moments of (t - tau)^(alpha-1) on uniform `nodes`, t >= nodes[-1].
 
     Supports history-term evaluation where the target point lies beyond the
-    integration interval.  Returns a weight vector aligned with `nodes`.
+    integration interval.  Returns a weight vector aligned with `nodes`, or,
+    for an array of targets t, one such row per target.  The closed form
+    holds for any alpha other than 0 and -1.
     """
     nodes = np.asarray(nodes, dtype=float)
-    M = len(nodes) - 1
-    w = np.zeros(M + 1)
-    if M == 0:
+    t = np.asarray(t, dtype=float)[..., None]
+    w = np.zeros(t.shape[:-1] + nodes.shape)
+    if nodes.size < 2:
         return w
-    h = nodes[1] - nodes[0]
-    sig_a = t - nodes[:-1]
-    sig_b = t - nodes[1:]
-    ap1 = alpha + 1.0
-    m0 = (sig_a ** alpha - sig_b ** alpha) / alpha
-    m1 = sig_a * m0 - (sig_a ** ap1 - sig_b ** ap1) / ap1
-    w[:-1] += m0 - m1 / h
-    w[1:] += m1 / h
+    far, near = _hat_moments(t - nodes, alpha, nodes[1] - nodes[0])
+    w[..., :-1] += far
+    w[..., 1:] += near
     return w
 
 
-def hypersingular_tail_weights(alpha: float, nodes: np.ndarray, t: float) -> np.ndarray:
+def hypersingular_tail_weights(alpha: float, nodes: np.ndarray, t) -> np.ndarray:
     """Hat moments of (t - xi)^(-1-alpha) over `nodes`, for t > nodes[-1].
 
     The integral is proper because t stays strictly beyond the node range.
-    Exact for piecewise-linear data; closed forms only.
+    Exact for piecewise-linear data; closed forms only.  An array of targets
+    t gives one weight row per target.
     """
-    nodes = np.asarray(nodes, dtype=float)
-    M = len(nodes) - 1
-    w = np.zeros(M + 1)
-    if M == 0:
-        return w
-    h = nodes[1] - nodes[0]
-    sig_a = t - nodes[:-1]
-    sig_b = t - nodes[1:]
-    m0 = (sig_b ** (-alpha) - sig_a ** (-alpha)) / alpha
-    # m1 = int (t-xi)^(-1-alpha) (xi - xi_j) dxi, alpha in (0, 1)
-    inner = (sig_a ** (1.0 - alpha) - sig_b ** (1.0 - alpha)) / (1.0 - alpha)
-    m1 = sig_a * m0 - inner
-    w[:-1] += m0 - m1 / h
-    w[1:] += m1 / h
-    return w
+    return left_moments_at(-alpha, nodes, t)

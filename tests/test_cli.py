@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import fracfund
-from fracfund import GridFn, checks, gamma, read_csv, write_csv
+from fracfund import GridFn, checks, cli, gamma, read_csv, write_csv
 from fracfund.cli import main
 from fracfund.quadrules import jacobi_rule_01
 
@@ -266,6 +266,18 @@ def test_fundamental_thread_count_invisible(tmp_path, monkeypatch):
         assert main(["fundamental", "--config", str(cfg), "--out", str(out)]) == 0
         blobs[threads] = out.read_bytes()
     assert blobs["1"] == blobs["4"]
+
+
+def test_out_of_memory_is_a_numerical_error(tmp_path, monkeypatch, capsys):
+    def exhausted(problem, grid):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "solve_F", exhausted)
+    cfg = _write_config(tmp_path, grid_N=4096)
+    out = tmp_path / "field.csv"
+    assert main(["fundamental", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "grid_N = 4096" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fundamental_picard_method(tmp_path):

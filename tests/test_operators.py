@@ -374,14 +374,131 @@ def test_hat_tables_partition_of_unity():
 def test_table_rows_do_not_depend_on_table_size(N, M, alpha, eL, eR):
     # one table at the grid's N serves every M <= N, bit for bit
     big, small = hat_moment_tables(N, eL, eR), hat_moment_tables(M, eL, eR)
-    for k in range(1, M + 1):
-        assert np.array_equal(big[k], small[k])
+    assert np.array_equal(big[:M + 1, :M + 1], small)
     for b, s in zip(first_interval_moments(N, eL, eR),
                     first_interval_moments(M, eL, eR)):
         assert np.array_equal(b[:M + 1], s)
     h = 1.0 / N
     assert np.array_equal(left_moment_weights(alpha, N, h)[:M + 1, :M + 1],
                           left_moment_weights(alpha, M, h))
+
+
+# the row-by-row builders the dense tables replaced, kept as references
+
+
+def _reference_first_subinterval(k, eL, eR):
+    if k == 1:
+        v, base = jacobi_rule_01(32, eL, eR)
+    else:
+        v, wv = jacobi_rule_01(32, eL, 0.0)
+        base = wv * (1.0 - v / k) ** eR * k ** (-1.0 - eL)
+    return np.sum(base * (1.0 - v)), np.sum(base * v)
+
+
+def _reference_hat_row(k, eL, eR):
+    omega = np.zeros(k + 1)
+    omega[0], omega[1] = _reference_first_subinterval(k, eL, eR)
+    if k == 1:
+        return omega
+    v, wv = jacobi_rule_01(32, eR, 0.0)
+    u_last = 1.0 - v / k
+    base = wv * u_last ** eL * k ** (-1.0 - eR)
+    omega[k - 1] += np.sum(base * v)
+    omega[k] += np.sum(base * (1.0 - v))
+    if k > 2:
+        s, ws = jacobi_rule_01(16, 0.0, 0.0)
+        m = np.arange(1, k - 1)[:, None]
+        u_mid = (m + s[None, :]) / k
+        f = ws[None, :] * u_mid ** eL * (1.0 - u_mid) ** eR / k
+        omega[1:k - 1] += np.sum(f * (1.0 - s[None, :]), axis=1)
+        omega[2:k] += np.sum(f * s[None, :], axis=1)
+    return omega
+
+
+def _reference_left_weights(alpha, N, h):
+    W = np.zeros((N + 1, N + 1))
+    ap1 = alpha + 1.0
+    for k in range(1, N + 1):
+        d = np.arange(k, 0, -1, dtype=float)
+        sig_a = (d * h) ** alpha
+        sig_b = ((d - 1.0) * h) ** alpha
+        m0 = (sig_a - sig_b) / alpha
+        m1 = (d * h) * m0 - ((d * h) ** ap1 - ((d - 1.0) * h) ** ap1) / ap1
+        W[k, :k] += m0 - m1 / h
+        W[k, 1:k + 1] += m1 / h
+    return W
+
+
+def _reference_left_at(alpha, nodes, t):
+    w = np.zeros(len(nodes))
+    if len(nodes) < 2:
+        return w
+    h = nodes[1] - nodes[0]
+    sig_a, sig_b = t - nodes[:-1], t - nodes[1:]
+    ap1 = alpha + 1.0
+    m0 = (sig_a ** alpha - sig_b ** alpha) / alpha
+    m1 = sig_a * m0 - (sig_a ** ap1 - sig_b ** ap1) / ap1
+    w[:-1] += m0 - m1 / h
+    w[1:] += m1 / h
+    return w
+
+
+def _reference_tail(alpha, nodes, t):
+    w = np.zeros(len(nodes))
+    if len(nodes) < 2:
+        return w
+    h = nodes[1] - nodes[0]
+    sig_a, sig_b = t - nodes[:-1], t - nodes[1:]
+    m0 = (sig_b ** (-alpha) - sig_a ** (-alpha)) / alpha
+    inner = (sig_a ** (1.0 - alpha) - sig_b ** (1.0 - alpha)) / (1.0 - alpha)
+    m1 = sig_a * m0 - inner
+    w[:-1] += m0 - m1 / h
+    w[1:] += m1 / h
+    return w
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 64, 300])
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+def test_weight_tables_match_row_builders(N, alpha):
+    for eL, eR in ((alpha - 1.0, alpha - 1.0), (-alpha, alpha - 1.0)):
+        T = hat_moment_tables(N, eL, eR)
+        sig0, sig1 = first_interval_moments(N, eL, eR)
+        assert T.shape == (N + 1, N + 1)
+        assert np.all(np.triu(T, 1) == 0.0) and np.all(T[0] == 0.0)
+        assert np.array_equal(T[:, 0], sig0)
+        for k in range(1, N + 1):
+            np.testing.assert_allclose(T[k, :k + 1], _reference_hat_row(k, eL, eR),
+                                       rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(
+                (sig0[k], sig1[k]), _reference_first_subinterval(k, eL, eR),
+                rtol=1e-14, atol=0.0)
+    h = 0.7 / N
+    assert np.array_equal(left_moment_weights(alpha, N, h),
+                          _reference_left_weights(alpha, N, h))
+    nodes = 0.1 + h * np.arange(N + 1)
+    targets = nodes[-1] + h * np.array([0.3, 1.0, 2.5, 17.0])
+    block_at = left_moments_at(alpha, nodes, targets)
+    block_tail = hypersingular_tail_weights(alpha, nodes, targets)
+    for i, t in enumerate(targets):
+        for got in (left_moments_at(alpha, nodes, t), block_at[i]):
+            assert np.array_equal(got, _reference_left_at(alpha, nodes, t))
+        for got in (hypersingular_tail_weights(alpha, nodes, t), block_tail[i]):
+            assert np.array_equal(got, _reference_tail(alpha, nodes, t))
+    assert np.array_equal(left_moments_at(alpha, nodes, nodes[-1]),
+                          _reference_left_at(alpha, nodes, nodes[-1]))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 64, 300])
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+def test_j_operator_matches_row_loop(N, alpha):
+    t = np.linspace(0.2, 1.3, N + 1)
+    phi = GridFn(0.2, 1.3, N, np.stack([np.cos(3.0 * t), t ** 2], axis=1))
+    rows = [_reference_hat_row(k, alpha - 1.0, alpha - 1.0) for k in range(1, N + 1)]
+    want = np.zeros_like(phi.values)
+    for k in range(1, N + 1):
+        want[k] = ((k * phi.h) ** alpha / gamma(alpha)) * (rows[k - 1] @ phi.values[:k + 1])
+    got = j_operator(phi, alpha).values
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_cached_weight_tables_are_read_only():
