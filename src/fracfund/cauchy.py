@@ -7,7 +7,9 @@ The history enters the formulas through the continuation functional psi and
 the modified forcing b_star; psi's difference against its value at t_star is
 alpha-Hoelder at t_star, so the first subinterval of every memory integral is
 integrated with exact point values at fixed Jacobi nodes instead of the
-piecewise-linear shortcut, which would lose the cusp.
+piecewise-linear shortcut, which would lose the cusp.  Every integral of the
+field against node data, in both formulas and in the identity check that
+links them, goes through one row sum, _field_rows.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .errors import (DomainError, GridMismatchError, PreconditionError,
                      SingularSystemError)
-from .fundamental import FundamentalField
+from .fundamental import FundamentalField, _check_grid
 from .gridfn import PIECEWISE_LINEAR, GridFn
 from .problem import CauchyProblem
 from .quadrules import (SINGULAR_NODES, SMOOTH_NODES, first_interval_moments,
@@ -66,14 +68,10 @@ def _star_index(problem, N):
 def _field_star_index(problem, field):
     """Node index of t_star on the field's grid, once the field is checked
     to belong to the problem."""
-    span = problem.theta - problem.t0
-    g = field.grid
-    if (abs(g.t0 - problem.t0) > 1e-12 * span
-            or abs(g.theta - problem.theta) > 1e-12 * span):
-        raise GridMismatchError("field grid interval differs from the problem's")
+    _check_grid(problem, field.grid)
     if field.n != problem.n or field.alpha != problem.alpha:
         raise GridMismatchError("field dimension or order differs from the problem's")
-    return _star_index(problem, g.N)
+    return _star_index(problem, field.grid.N)
 
 
 def _prefix_values(problem, t, k0):
@@ -198,9 +196,10 @@ def _psi_defining(phi: GridFn, alpha, ts):
     if ts_away.size:
         chunks = []
         for lo in range(0, ts_away.size, _PSI_CHUNK):
-            block = ts_away[lo:lo + _PSI_CHUNK]
-            denom = block[:, None] - pts[None, :]
-            chunks.append((wts[None, :] / denom) @ fvals)
+            # the kernel is built in place: one block-sized temporary
+            kern = ts_away[lo:lo + _PSI_CHUNK, None] - pts
+            np.divide(wts, kern, out=kern)
+            chunks.append(kern @ fvals)
         out[away] = c * np.concatenate(chunks)
     if at_star.any():
         # kernel power drops by one at the segment end; dedicated rule
@@ -272,21 +271,30 @@ def b_star(problem: CauchyProblem, psi: GridFn) -> GridFn:
     return GridFn(psi.a, psi.b, psi.N, dq + bn, PIECEWISE_LINEAR)
 
 
+def _field_rows(field, k0, weights, g):
+    """sum over m <= k of weights[k, m] F(t_{k0+k}, t_{k0+m}) g[m], for
+    k = 0..N - k0; g holds one node vector or node matrix per node from
+    t_{k0} on.  Every field-weighted integral goes through this sum; each
+    row of the field is one contiguous slice, so it stays a loop over rows.
+    """
+    M = field.grid.N - k0
+    out = np.empty((M + 1,) + g.shape[1:])
+    for k in range(M + 1):
+        Fg = np.einsum("mab,mb...->ma...", field.values[k0 + k, k0:k0 + k + 1],
+                       g[:k + 1])
+        out[k] = np.tensordot(weights[k, :k + 1], Fg, 1)
+    return out
+
+
 def _affine_part(problem, field, k0, base_vec):
     """(Id + memory integral of F A) base + memory integral of F b,
     on targets t_star + k h for k = 0..N - k0, summed as
     base + memory integral of F (A base + b)."""
     grid = field.grid
-    g = problem.A.at(grid.t) @ base_vec + problem.b.at(grid.t)
+    t = grid.t[k0:]
+    g = problem.A.at(t) @ base_vec + problem.b.at(t)
     W = left_moment_weights(problem.alpha, grid.N, grid.h)
-    M = grid.N - k0
-    out = np.empty((M + 1, base_vec.size))
-    out[0] = base_vec
-    for k in range(1, M + 1):
-        i = k0 + k
-        Fg = np.einsum("mab,mb->ma", field.values[i, k0:i + 1], g[k0:i + 1])
-        out[k] = base_vec + W[k, :k + 1] @ Fg
-    return out
+    return base_vec + _field_rows(field, k0, W, g)
 
 
 def _memory_term(field, k0, alpha, g_nodes, g_first1, g_first2):
@@ -295,31 +303,28 @@ def _memory_term(field, k0, alpha, g_nodes, g_first1, g_first2):
     g is piecewise linear on the grid except on the first subinterval, where
     exact point values at two fixed Jacobi families replace it (family 1 when
     the target is one step away and the second kernel factor is singular too,
-    family 2 otherwise).  F itself stays piecewise linear throughout.
+    family 2 otherwise).  F itself stays piecewise linear throughout.  The
+    table's own first panel is subtracted through first_interval_moments,
+    which holds the very values of its columns 0 and 1, and the Jacobi sums
+    take its place: c0 and c1 are the first subinterval's weight on the field
+    columns at t_star and one step later, per target.
     """
-    values = field.values
     N = field.grid.N
     M = N - k0
-    n = g_nodes.shape[1]
-    tabs = hat_moment_tables(N, -alpha, alpha - 1.0)
     sig0, sig1 = first_interval_moments(N, -alpha, alpha - 1.0)
     v1, w1 = jacobi_rule_01(SINGULAR_NODES, -alpha, alpha - 1.0)
     v2, w2 = jacobi_rule_01(SINGULAR_NODES, -alpha, 0.0)
-    out = np.zeros((M + 1, n))
-    for k in range(1, M + 1):
-        i = k0 + k
-        w = tabs[k, :k + 1].copy()
-        w[0] -= sig0[k]
-        w[1] -= sig1[k]
-        Frow = values[i, k0:i + 1]
-        term = np.einsum("m,mab,mb->a", w, Frow, g_nodes[:k + 1])
-        if k == 1:
-            vq, wq, gq = v1, w1, g_first1
-        else:
-            vq, wq, gq = v2, w2 * (k - v2) ** (alpha - 1.0), g_first2
-        FPL = ((1.0 - vq)[:, None, None] * Frow[0]
-               + vq[:, None, None] * Frow[1])
-        out[k] = term + np.einsum("q,qab,qb->a", wq, FPL, gq)
+    k = np.arange(2, M + 1, dtype=float)[:, None]
+    w2k = w2 * (k - v2) ** (alpha - 1.0)
+    c0 = np.vstack([(w1 * (1.0 - v1)) @ g_first1, (w2k * (1.0 - v2)) @ g_first2])
+    c1 = np.vstack([(w1 * v1) @ g_first1, (w2k * v2) @ g_first2])
+    c0 -= sig0[1:M + 1, None] * g_nodes[0]
+    c1 -= sig1[1:M + 1, None] * g_nodes[1]
+    out = _field_rows(field, k0, hat_moment_tables(N, -alpha, alpha - 1.0),
+                      g_nodes)
+    F = field.values[k0 + 1:]
+    out[1:] += (np.einsum("kab,kb->ka", F[:, k0], c0)
+                + np.einsum("kab,kb->ka", F[:, k0 + 1], c1))
     return out
 
 
@@ -406,20 +411,14 @@ def gc_compact_identity_residual(problem, field, steps):
     alpha = problem.alpha
     N = field.grid.N
     M = N - k0
-    t = field.grid.t
-    Anodes = problem.A.at(t)
-    W = left_moment_weights(alpha, N, field.grid.h)
-    tabs = hat_moment_tables(N, -alpha, alpha - 1.0)
-    eye = np.eye(problem.n)
-    ga1 = gamma(1.0 - alpha)
-    out = []
     for k in steps:
         if not 1 <= k <= M:
             raise DomainError(f"step {k} outside 1..{M}")
-        i = k0 + k
-        Frow = field.values[i, k0:i + 1]
-        lhs = eye + np.einsum("m,mab->ab",
-                              W[k, :k + 1], np.matmul(Frow, Anodes[k0:i + 1]))
-        rhs = np.einsum("m,mab->ab", tabs[k, :k + 1], Frow) / ga1
-        out.append(float(np.abs(lhs - rhs).max()))
-    return out
+    t = field.grid.t[k0:]
+    W = left_moment_weights(alpha, N, field.grid.h)
+    tabs = hat_moment_tables(N, -alpha, alpha - 1.0)
+    eye = np.eye(problem.n)
+    lhs = eye + _field_rows(field, k0, W, problem.A.at(t))
+    rhs = _field_rows(field, k0, tabs, np.broadcast_to(eye, (M + 1,) + eye.shape))
+    resid = np.abs(lhs - rhs / gamma(1.0 - alpha)).max(axis=(1, 2))
+    return [float(resid[k]) for k in steps]

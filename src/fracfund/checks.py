@@ -12,9 +12,8 @@ import time
 
 import numpy as np
 
-from .cauchy import (METHOD_DIRECT, b_star, equation_residual, psi_star,
-                     represent_gc, represent_gc_compact, represent_pc,
-                     solve_direct)
+from .cauchy import (METHOD_DIRECT, b_star, psi_star, represent_gc,
+                     represent_gc_compact, represent_pc, solve_direct)
 from .fundamental import TriangleGrid, bounds, solve_F, solve_G_dual
 from .gridfn import PIECEWISE_LINEAR, GridFn
 from .operators import (caputo_derivative, fractional_integral, j_operator,
@@ -235,8 +234,7 @@ def run_suite(problem: CauchyProblem, grid_N: int, tolerances=None):
 
     for name, sol in sols.items():
         thr = DIRECT_RESIDUAL_TOL if name == METHOD_DIRECT else REPR_RESIDUAL_TOL
-        records.append(_record(f"residual_{name}",
-                               equation_residual(problem, sol.x), thr))
+        records.append(_record(f"residual_{name}", sol.meta["residual"], thr))
 
     t = np.linspace(problem.t0, problem.theta, N + 1)
     prefix_ref = problem.history.w_star.sample(t[:k0 + 1])

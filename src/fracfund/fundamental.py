@@ -118,7 +118,10 @@ def bounds(problem: CauchyProblem, num_samples=513) -> AprioriBounds:
         q = 0.0
     grow = span * kappa
     M_F = math.inf if grow > _EXP_GUARD else math.exp(grow) / (gamma(alpha) * (1.0 - q))
-    H_F = c.H_J * M_A * M_F * ml_scalar(alpha, span ** alpha * M_A * c.M_J)
+    if math.isinf(M_F):
+        H_F = math.inf
+    else:
+        H_F = c.H_J * M_A * M_F * ml_scalar(alpha, span ** alpha * M_A * c.M_J)
     return AprioriBounds(kappa=kappa, M_A=M_A, M_F=M_F, H_F=H_F)
 
 
@@ -209,7 +212,9 @@ def solve_F_picard(problem: CauchyProblem, grid: TriangleGrid,
     """Fixed-point iteration for the same discrete equation as solve_F.
 
     Stops when the kappa-weighted sup norm of an update drops to tol; the
-    kappa from bounds() makes each sweep at least halve that norm. Kept as an
+    kappa from bounds() makes each sweep at least halve that norm. Where
+    bounds() finds exp(kappa (theta - t0)) past the double range (M_F = inf),
+    that norm certifies nothing and the iteration is refused. Kept as an
     independent cross-check of the march, not a production path.
     """
     _check_grid(problem, grid)
@@ -220,8 +225,12 @@ def solve_F_picard(problem: CauchyProblem, grid: TriangleGrid,
     ga = gamma(alpha)
     diag = np.eye(n) / ga
     ck = (np.arange(N + 1) * h) ** alpha / ga
-    kappa = bounds(problem).kappa
-    decay = np.exp(-kappa * h * np.arange(N + 1))
+    apb = bounds(problem)
+    if math.isinf(apb.M_F):
+        raise NonConvergenceError(
+            "fixed-point sweep cannot certify convergence: exp(kappa (theta - t0))"
+            " overflows for this coefficient; use the march")
+    decay = np.exp(-apb.kappa * h * np.arange(N + 1))
 
     # diagonal-major iterate: cur[k, j] ~ F(t_{j+k}, t_j), valid for j <= N-k
     cur = np.broadcast_to(diag, (N + 1, N + 1, n, n)).copy()
@@ -233,22 +242,15 @@ def solve_F_picard(problem: CauchyProblem, grid: TriangleGrid,
         Apad, shape=(N + 1, N + 1, n, n), strides=(s0, s0, s1, s2),
         writeable=False)
 
-    iterations = 0
-    bnorm = math.inf
-    for it in range(1, max_iter + 1):
-        AP = np.matmul(A_shift, cur)
-        nxt = np.empty_like(cur)
-        nxt[0] = diag
-        bnorm = 0.0
-        for k in range(1, N + 1):
-            upd = diag + ck[k] * np.einsum(
-                "m,mjab->jab", tables[k, :k + 1], AP[:k + 1, :N + 1 - k],
-                optimize=False)
-            dk = np.abs(upd - cur[k, :N + 1 - k]).sum(axis=-1).max()
-            bnorm = max(bnorm, dk * decay[k])
-            nxt[k, :N + 1 - k] = upd
+    # an entry with j <= N-k reads only such entries; the rest are never
+    # read by them and are masked out of the norm
+    valid = np.add.outer(np.arange(N + 1), np.arange(N + 1)) <= N
+    for iterations in range(1, max_iter + 1):
+        AP = np.matmul(A_shift, cur).reshape(N + 1, -1)
+        nxt = diag + ck[:, None, None, None] * (tables @ AP).reshape(cur.shape)
+        dk = np.where(valid, np.abs(nxt - cur).sum(axis=-1).max(axis=-1), 0.0)
+        bnorm = float((dk.max(axis=1) * decay).max())
         cur = nxt
-        iterations = it
         if bnorm <= tol:
             break
     else:
@@ -256,11 +258,10 @@ def solve_F_picard(problem: CauchyProblem, grid: TriangleGrid,
             f"fixed-point sweep still above tol after {max_iter} iterations")
 
     values = np.full((N + 1, N + 1, n, n), np.nan)
-    for k in range(N + 1):
-        cols = np.arange(N + 1 - k)
-        values[cols + k, cols] = cur[k, :N + 1 - k]
+    ii, jj = np.tril_indices(N + 1)
+    values[ii, jj] = cur[ii - jj, jj]
     meta = {"method": "picard", "N": N, "iterations": iterations,
-            "weighted_residual": float(bnorm),
+            "weighted_residual": bnorm,
             "wall_time": time.perf_counter() - t_start}
     return FundamentalField(grid, alpha, values, meta)
 

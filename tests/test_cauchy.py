@@ -27,7 +27,11 @@ from fracfund import (
     solve_F,
     solve_direct,
 )
-from fracfund.cauchy import METHOD_DIRECT, _psi_defining, _psi_from_history
+from fracfund.cauchy import (METHOD_DIRECT, _affine_part, _memory_term,
+                             _psi_defining, _psi_from_history)
+from fracfund.quadrules import (SINGULAR_NODES, first_interval_moments,
+                                hat_moment_tables, jacobi_rule_01,
+                                left_moment_weights)
 
 # frozen with mpmath (30 digits): modified forcing for the segment
 # w(tau) = tau^0.5 / gamma(1.5) on [0, 0.5], zero base forcing, alpha = 0.5
@@ -272,3 +276,122 @@ def test_field_problem_compatibility_enforced():
     fld = solve_F(other, TriangleGrid(0.0, 1.0, 16))
     with pytest.raises(GridMismatchError):
         represent_pc(p, fld)  # alpha differs
+
+
+# ------------------------------------------- field-row sums vs row loops
+
+
+def _reference_affine_part(problem, field, k0, base_vec):
+    # one field row per target, summed with the left-moment weights
+    grid = field.grid
+    g = problem.A.at(grid.t) @ base_vec + problem.b.at(grid.t)
+    W = left_moment_weights(problem.alpha, grid.N, grid.h)
+    M = grid.N - k0
+    out = np.empty((M + 1, base_vec.size))
+    out[0] = base_vec
+    for k in range(1, M + 1):
+        i = k0 + k
+        Fg = np.einsum("mab,mb->ma", field.values[i, k0:i + 1], g[k0:i + 1])
+        out[k] = base_vec + W[k, :k + 1] @ Fg
+    return out
+
+
+def _reference_memory_term(field, k0, alpha, g_nodes, g_first1, g_first2):
+    # per row: the table row with its first panel removed, plus the Jacobi
+    # sum over the first subinterval with F interpolated linearly there
+    values = field.values
+    N = field.grid.N
+    M = N - k0
+    tabs = hat_moment_tables(N, -alpha, alpha - 1.0)
+    sig0, sig1 = first_interval_moments(N, -alpha, alpha - 1.0)
+    v1, w1 = jacobi_rule_01(SINGULAR_NODES, -alpha, alpha - 1.0)
+    v2, w2 = jacobi_rule_01(SINGULAR_NODES, -alpha, 0.0)
+    out = np.zeros((M + 1, g_nodes.shape[1]))
+    for k in range(1, M + 1):
+        i = k0 + k
+        w = tabs[k, :k + 1].copy()
+        w[0] -= sig0[k]
+        w[1] -= sig1[k]
+        Frow = values[i, k0:i + 1]
+        term = np.einsum("m,mab,mb->a", w, Frow, g_nodes[:k + 1])
+        if k == 1:
+            vq, wq, gq = v1, w1, g_first1
+        else:
+            vq, wq, gq = v2, w2 * (k - v2) ** (alpha - 1.0), g_first2
+        FPL = ((1.0 - vq)[:, None, None] * Frow[0]
+               + vq[:, None, None] * Frow[1])
+        out[k] = term + np.einsum("q,qab,qb->a", wq, FPL, gq)
+    return out
+
+
+def _reference_identity_residual(problem, field, k0, steps):
+    # residuals per step, and the largest entry of the identity's left side
+    alpha = problem.alpha
+    N = field.grid.N
+    Anodes = problem.A.at(field.grid.t)
+    W = left_moment_weights(alpha, N, field.grid.h)
+    tabs = hat_moment_tables(N, -alpha, alpha - 1.0)
+    eye = np.eye(problem.n)
+    out, scale = [], 0.0
+    for k in steps:
+        i = k0 + k
+        Frow = field.values[i, k0:i + 1]
+        lhs = eye + np.einsum("m,mab->ab",
+                              W[k, :k + 1], np.matmul(Frow, Anodes[k0:i + 1]))
+        rhs = np.einsum("m,mab->ab", tabs[k, :k + 1], Frow) / gamma(1.0 - alpha)
+        out.append(float(np.abs(lhs - rhs).max()))
+        scale = max(scale, float(np.abs(lhs).max()))
+    return out, scale
+
+
+def _drifting_problem(n, alpha, k0, N):
+    # time-varying, non-symmetric coefficient, nonzero forcing, and a start
+    # segment ending at node k0 of the N grid on [0.2, 1.7]
+    A0 = np.array([[0.2, 1.0], [-1.3, 0.1]])[:n, :n]
+    A1 = np.array([[-0.4, 0.3], [0.5, 0.6]])[:n, :n]
+    A = Coefficient(n, lambda t: (np.cos(3.0 * t)[:, None, None] * A0
+                                  + t[:, None, None] * A1))
+    b = Forcing.from_callable(n, lambda t: np.array([np.sin(t), 1.0])[:n])
+    if k0 == 0:
+        return CauchyProblem.from_initial_value(alpha, 0.2, 1.7, A, b,
+                                                np.ones(n))
+    t_star = 0.2 + 1.5 * k0 / N
+    seg = GridFn(0.2, t_star, k0,
+                 np.cos(np.linspace(0.2, t_star, k0 + 1))[:, None]
+                 * np.ones(n))
+    return CauchyProblem(alpha, 0.2, 1.7, A, b, History.from_samples(seg))
+
+
+def _rel(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+def _smooth(t, n):
+    # node data of the kind the memory term integrates: one smooth function,
+    # sampled at the nodes and at the first subinterval's Jacobi points
+    return np.column_stack([np.cos(2.0 * t), 1.0 + t])[:, :n]
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.7])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("N", [1, 2, 3, 64, 130])
+def test_field_row_sums_match_row_loops(N, n, alpha):
+    rng = np.random.default_rng(N * 10 + n)
+    base = _drifting_problem(n, alpha, 0, N)
+    field = solve_F(base, TriangleGrid(0.2, 1.7, N))
+    t, h = field.grid.t, field.grid.h
+    v1, _ = jacobi_rule_01(SINGULAR_NODES, -alpha, alpha - 1.0)
+    v2, _ = jacobi_rule_01(SINGULAR_NODES, -alpha, 0.0)
+    for k0 in sorted({0, 1, N // 3, N - 1} & set(range(N))):
+        start = rng.standard_normal(n)
+        assert _rel(_affine_part(base, field, k0, start),
+                    _reference_affine_part(base, field, k0, start)) <= 1e-14
+        g = _smooth(t[k0:], n)
+        g1, g2 = _smooth(t[k0] + h * v1, n), _smooth(t[k0] + h * v2, n)
+        assert _rel(_memory_term(field, k0, alpha, g, g1, g2),
+                    _reference_memory_term(field, k0, alpha, g, g1, g2)) <= 1e-14
+        problem = _drifting_problem(n, alpha, k0, N)
+        steps = list(range(1, N - k0 + 1))
+        ref, scale = _reference_identity_residual(problem, field, k0, steps)
+        got = gc_compact_identity_residual(problem, field, steps)
+        assert np.abs(np.subtract(got, ref)).max() <= 1e-14 * scale

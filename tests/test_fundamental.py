@@ -1,6 +1,7 @@
 """Fundamental field solvers: march, fixed point, dual march, a-priori bounds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -281,3 +282,78 @@ def test_bounds_overflow_guard():
     apb = bounds(p)
     assert math.isinf(apb.M_F)
     assert math.isinf(apb.H_F)
+
+
+@pytest.mark.parametrize("scale", [20.0, 100.0])
+def test_bounds_large_coefficient_is_infinite(scale):
+    # the growth exponent overflows, so H_F is inf without evaluating the
+    # Mittag-Leffler factor, whose series cannot settle at this argument
+    p = _ivp(Coefficient.constant(scale * np.eye(2)), alpha=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        apb = bounds(p)
+        # the fixed-point sweep's weighted norm would stop it after one
+        # sweep with a wrong field; it refuses instead
+        with pytest.raises(NonConvergenceError):
+            solve_F_picard(p, TriangleGrid(0.0, 1.0, 16))
+    assert math.isinf(apb.M_F)
+    assert math.isinf(apb.H_F)
+
+
+def _reference_picard(problem, grid, max_iter=80, tol=1e-10):
+    # one weighted sum per step count k and sweep, over the live columns
+    alpha, N, h, n = problem.alpha, grid.N, grid.h, problem.n
+    Anodes = problem.A.at(grid.t)
+    tables = hat_moment_tables(N, alpha - 1.0, alpha - 1.0)
+    diag = np.eye(n) / gamma(alpha)
+    ck = (np.arange(N + 1) * h) ** alpha / gamma(alpha)
+    decay = np.exp(-bounds(problem).kappa * h * np.arange(N + 1))
+    cur = np.broadcast_to(diag, (N + 1, N + 1, n, n)).copy()
+    A_shift = np.zeros((N + 1, N + 1, n, n))  # A_shift[m, j] = A_{m+j}
+    for m in range(N + 1):
+        A_shift[m, :N + 1 - m] = Anodes[m:]
+    for it in range(1, max_iter + 1):
+        AP = np.matmul(A_shift, cur)
+        nxt = np.empty_like(cur)
+        nxt[0] = diag
+        bnorm = 0.0
+        for k in range(1, N + 1):
+            upd = diag + ck[k] * np.einsum(
+                "m,mjab->jab", tables[k, :k + 1], AP[:k + 1, :N + 1 - k],
+                optimize=False)
+            dk = np.abs(upd - cur[k, :N + 1 - k]).sum(axis=-1).max()
+            bnorm = max(bnorm, dk * decay[k])
+            nxt[k, :N + 1 - k] = upd
+        cur = nxt
+        if bnorm <= tol:
+            break
+    else:
+        raise NonConvergenceError("reference sweep did not converge")
+    values = np.full((N + 1, N + 1, n, n), np.nan)
+    for k in range(N + 1):
+        cols = np.arange(N + 1 - k)
+        values[cols + k, cols] = cur[k, :N + 1 - k]
+    return values, it
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.7])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("N", [1, 2, 3, 64, 130])
+def test_picard_sweep_matches_step_loop(N, n, alpha):
+    p = CauchyProblem.from_initial_value(alpha, 0.2, 1.7, _drifting(n),
+                                         Forcing.zero(n), np.ones(n))
+    g = TriangleGrid(0.2, 1.7, N)
+    if math.isinf(bounds(p).M_F):  # n = 2 at alpha = 0.3
+        with pytest.raises(NonConvergenceError):
+            solve_F_picard(p, g)
+        return
+    try:
+        ref, iterations = _reference_picard(p, g)
+    except NonConvergenceError:  # a coarse grid need not contract
+        with pytest.raises(NonConvergenceError):
+            solve_F_picard(p, g)
+        return
+    got = solve_F_picard(p, g)
+    assert got.meta["iterations"] == iterations
+    assert np.array_equal(np.isnan(got.values), np.isnan(ref))
+    assert np.nanmax(np.abs(got.values - ref)) <= 1e-14
