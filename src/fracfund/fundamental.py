@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (DomainError, GridMismatchError, NonConvergenceError,
                      SingularSystemError)
+from .gridfn import write_table
 from .operators import op_constants
 from .problem import CauchyProblem
 from .quadrules import hat_moment_tables
@@ -69,17 +70,21 @@ class FundamentalField:
         return self.values[i, j]
 
     def write_csv(self, path):
-        # TODO(csv): stream rows instead of materializing the full triangle
-        # table; matters for N > 4096 runs
+        """Write the triangle j <= i, row-major, one line t_i,t_j,F_ij per
+        pair; the lines are gathered from the field a block at a time."""
         N, n = self.grid.N, self.n
-        ii, jj = np.tril_indices(N + 1)
         t = self.grid.t
-        flat = self.values[ii, jj].reshape(ii.size, n * n)
-        table = np.column_stack([t[ii], t[jj], flat])
+        flat = self.values.reshape(N + 1, N + 1, n * n)
+        ends = np.cumsum(np.arange(1, N + 2))  # pairs in rows 0..i
+
+        def rows(q0, q1):
+            q = np.arange(q0, q1)
+            i = np.searchsorted(ends, q, side="right")
+            j = q - ends[i] + i + 1
+            return np.column_stack([t[i], t[j], flat[i, j]])
+
         names = ",".join(f"F_{r+1}{c+1}" for r in range(n) for c in range(n))
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write("t,s," + names + "\n")
-            np.savetxt(fh, table, fmt="%.17g", delimiter=",")
+        write_table(path, "t,s," + names, int(ends[-1]), rows)
 
 
 def z_value(field: FundamentalField, i, j):
@@ -137,6 +142,49 @@ def _check_grid(problem, grid):
 _BLOCK = 64
 
 
+def _solve_small(M, R):
+    """Solve M[b] X[b] = R[b] for a batch of small n x n systems.
+
+    Gaussian elimination with partial pivoting, vectorised over the batch and
+    looped over the n pivot columns. The augmented system is held batch-last,
+    so every operation runs over contiguous rows of the batch. Each column
+    takes as pivot its first entry of largest magnitude at or below the
+    diagonal, as LAPACK does; rows are swapped only in the members that need
+    it. np.linalg.solve's error contract holds: an exact zero pivot, or an
+    invalid floating-point operation inside the elimination, raises
+    LinAlgError, and overflow and underflow pass silently.
+    """
+    B, n = M.shape[:2]
+    W = np.empty((n, n + R.shape[-1], B))
+    W[:, :n] = M.transpose(1, 2, 0)
+    W[:, n:] = R.transpose(1, 2, 0)
+    with np.errstate(invalid="raise", over="ignore", divide="ignore",
+                     under="ignore"):
+        try:
+            for c in range(n):
+                size = np.abs(W[c:, c])
+                p, top = np.zeros(B, np.intp), size[0]
+                for r in range(1, n - c):
+                    p[size[r] > top] = r
+                    top = np.maximum(top, size[r])
+                swap = np.flatnonzero(p)
+                if swap.size:
+                    ps = p[swap] + c
+                    W[c, :, swap], W[ps, :, swap] = W[ps, :, swap], W[c, :, swap]
+                piv = W[c, c]
+                if not piv.all():
+                    raise np.linalg.LinAlgError("Singular matrix")
+                W[c + 1:, c + 1:] -= (W[c + 1:, c] / piv)[:, None] * W[c, c + 1:]
+            X = W[:, n:]
+            for c in range(n - 1, -1, -1):
+                X[c] /= W[c, c]
+                X[:c] -= W[:c, c, None] * X[c]
+        except FloatingPointError:
+            raise np.linalg.LinAlgError(
+                "invalid value in the elimination") from None
+    return np.ascontiguousarray(X.transpose(2, 0, 1))
+
+
 def _march(Anodes, alpha, grid):
     """solve_F's march on the coefficient samples Anodes.
 
@@ -163,6 +211,7 @@ def _march(Anodes, alpha, grid):
     values[np.arange(N + 1), np.arange(N + 1)] = diag
     AF = np.empty((N + 1, N + 1, n, n))  # AF[m, j] = A_{j+m} F_{j+m,j}
     AF[0] = Anodes / ga
+    solves_s = 0.0
 
     for k0 in range(1, N + 1, _BLOCK):
         k1 = min(k0 + _BLOCK, N + 1)
@@ -175,17 +224,20 @@ def _march(Anodes, alpha, grid):
                              optimize=False)
             rhs = diag + ck[k] * (far[k - k0, :cols] + near)
             sys = eye - (ck[k] * tables[k, k]) * Anodes[k:]
+            t_solve = time.perf_counter()
             try:
-                Fk = np.linalg.solve(sys, rhs)
+                Fk = _solve_small(sys, rhs)
             except np.linalg.LinAlgError:
                 raise SingularSystemError(
                     f"self-weight system singular at step {k}; refine N") from None
+            solves_s += time.perf_counter() - t_solve
             j = np.arange(cols)
             values[j + k, j] = Fk
             AF[k, :cols] = Anodes[k:] @ Fk
 
     t_end = time.perf_counter()
-    return values, {"tables_s": t_tables - t_start, "march_s": t_end - t_tables}
+    return values, {"tables_s": t_tables - t_start, "march_s": t_end - t_tables,
+                    "solves_s": solves_s}
 
 
 def solve_F(problem: CauchyProblem, grid: TriangleGrid) -> FundamentalField:
@@ -193,11 +245,13 @@ def solve_F(problem: CauchyProblem, grid: TriangleGrid) -> FundamentalField:
 
     Column j marches upward from the diagonal. At step count k the unknown
     node appears inside its own moment weight, so each step solves a small
-    n x n system. The steps run in blocks of 64: the history terms that reach
-    back before a block are one BLAS GEMM at the block's start, over every
-    step of the block and every column; the terms inside the block are
-    summed step by step. meta records the time spent on the hat-moment
-    tables (tables_s) and on the march (march_s).
+    n x n system; the systems of all columns at one step are solved together
+    by one batched pivoted elimination. The steps run in blocks of 64: the
+    history terms that reach back before a block are one BLAS GEMM at the
+    block's start, over every step of the block and every column; the terms
+    inside the block are summed step by step. meta records the time spent on
+    the hat-moment tables (tables_s), on the march (march_s) and, within the
+    march, on the small solves (solves_s).
     """
     _check_grid(problem, grid)
     t_start = time.perf_counter()
@@ -211,11 +265,17 @@ def solve_F_picard(problem: CauchyProblem, grid: TriangleGrid,
                    max_iter=80, tol=1e-10) -> FundamentalField:
     """Fixed-point iteration for the same discrete equation as solve_F.
 
-    Stops when the kappa-weighted sup norm of an update drops to tol; the
-    kappa from bounds() makes each sweep at least halve that norm. Where
-    bounds() finds exp(kappa (theta - t0)) past the double range (M_F = inf),
-    that norm certifies nothing and the iteration is refused. Kept as an
-    independent cross-check of the march, not a production path.
+    Stops when the sup norm of an update, weighted by exp(-kappa (t - t0))
+    with kappa from bounds(), drops to tol. That kappa comes from the
+    continuous operator bound, which does not cover the self-weight term
+    c_1 w_1[1] A of a coarse grid: a sweep need not halve the weighted norm,
+    and on a coarse grid the iteration can fail to converge where the march
+    solves the same system. The weight also hides late updates, so once
+    kappa (theta - t0) is large an update below tol certifies little about
+    the field itself. Where bounds() finds exp(kappa (theta - t0)) past the
+    double range (M_F = inf), that norm certifies nothing and the iteration
+    is refused. Kept as an independent cross-check of the march, not a
+    production path.
     """
     _check_grid(problem, grid)
     t_start = time.perf_counter()

@@ -88,15 +88,34 @@ class GridFn:
         write_csv(self, path, label)
 
 
+# rows formatted by one % each time the CSV writer formats
+_CSV_ROWS = 4096
+
+
+def write_table(path, header, nrows, rows) -> None:
+    """Write a CSV: the header line, then nrows rows of floats.
+
+    rows(r0, r1) returns rows r0..r1-1 as a 2-D array; it is asked for
+    _CSV_ROWS rows at a time, and each such block is formatted by a single %
+    over a repeated row format. Every value is written as %.17g, so reloading
+    reproduces the doubles exactly; the bytes are those of
+    np.savetxt(fmt="%.17g", delimiter=",").
+    """
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(header + "\n")
+        for r0 in range(0, nrows, _CSV_ROWS):
+            block = rows(r0, min(r0 + _CSV_ROWS, nrows))
+            row = ",".join(["%.17g"] * block.shape[1]) + "\n"
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+
+
 def write_csv(fn: GridFn, path, label="v") -> None:
     """Serialize node values: header t,<label>_1,...,<label>_k, 17 significant
     digits so reloading reproduces the doubles exactly."""
     k = fn.components
     header = "t," + ",".join(f"{label}_{i + 1}" for i in range(k))
     table = np.column_stack([fn.t, fn.values.reshape(fn.N + 1, k)])
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(header + "\n")
-        np.savetxt(fh, table, fmt="%.17g", delimiter=",")
+    write_table(path, header, fn.N + 1, lambda r0, r1: table[r0:r1])
 
 
 def read_csv(path, value_shape=None) -> GridFn:

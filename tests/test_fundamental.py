@@ -22,6 +22,7 @@ from fracfund import (
     solve_G_dual,
     z_value,
 )
+from fracfund.fundamental import _solve_small
 from fracfund.operators import op_constants
 from fracfund.oracle import constant_coeff_F
 from fracfund.quadrules import hat_moment_tables
@@ -211,6 +212,60 @@ def test_singular_self_weight_system():
         solve_G_dual(p, g)
 
 
+def _permuted_batch(rng, B, n, m):
+    # P (I + E) with small E and a random row permutation P: well
+    # conditioned, but the leading entry is often small, so rows must be
+    # swapped; a quarter of the members get an exact zero there, a quarter
+    # a tiny one
+    E = rng.standard_normal((B, n, n)) * (0.2 / n)
+    perm = rng.permuted(np.tile(np.arange(n), (B, 1)), axis=1)
+    M = np.take_along_axis(np.eye(n) + E, perm[:, :, None], axis=1)
+    moved = perm[:, 0] != 0
+    M[moved & (np.arange(B) % 4 == 0), 0, 0] = 0.0
+    M[moved & (np.arange(B) % 4 == 1), 0, 0] = 1e-300
+    return M, rng.standard_normal((B, n, m))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_solve_small_matches_lapack(n):
+    rng = np.random.default_rng(90 + n)
+    for m in (1, n):
+        M, R = _permuted_batch(rng, 400, n, m)
+        if n > 1:  # the batch needs row swaps
+            assert (np.abs(M[:, 0, 0]) < np.abs(M[:, 1:, 0]).max(axis=1)).sum() > 100
+            assert (M[:, 0, 0] == 0.0).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _solve_small(M, R)
+        ref = np.linalg.solve(M, R)
+        assert got.shape == ref.shape
+        err = np.abs(got - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+        assert err.max() <= 1e-14
+
+
+@pytest.mark.parametrize("bad", [
+    [[0.0, 1.0], [0.0, 3.0]],  # zero pivot column
+    [[1.0, 2.0], [2.0, 4.0]],  # second pivot exactly 0 after the swap
+])
+def test_solve_small_singular_member(bad):
+    M, R = _permuted_batch(np.random.default_rng(5), 50, 2, 2)
+    M[17] = bad
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(M, R)
+    with pytest.raises(np.linalg.LinAlgError):
+        _solve_small(M, R)
+
+
+def test_solve_small_invalid_operation_raises():
+    # eliminating column 0 computes inf - inf in the second row
+    M, R = _permuted_batch(np.random.default_rng(6), 50, 2, 1)
+    M[3] = [[1.0, np.inf], [1.0, np.inf]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError):
+            _solve_small(M, R)
+
+
 def test_field_csv_layout(tmp_path):
     p = _ivp(Coefficient.rotation())
     N = 12
@@ -251,6 +306,7 @@ def test_meta_contents():
     for meta in (m, d):
         assert meta["tables_s"] >= 0.0 and meta["march_s"] >= 0.0
         assert meta["tables_s"] + meta["march_s"] <= meta["wall_time"]
+        assert 0.0 <= meta["solves_s"] <= meta["march_s"]
 
 
 # ------------------------------------------------------------------- bounds
