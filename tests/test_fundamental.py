@@ -284,6 +284,20 @@ def test_field_csv_layout(tmp_path):
     assert path.read_bytes() == want.encode("ascii")
 
 
+def test_field_csv_spans_blocks(tmp_path):
+    # 5151 lines: the writer gathers them in two blocks, the seam inside row 90
+    p = _ivp(Coefficient.rotation())
+    N = 100
+    F = solve_F(p, TriangleGrid(0.0, 1.0, N))
+    path = tmp_path / "field.csv"
+    F.write_csv(path)
+    t = F.grid.t
+    want = "t,s,F_11,F_12,F_21,F_22\n" + "".join(
+        ",".join("%.17g" % v for v in (t[i], t[j], *F.values[i, j].ravel()))
+        + "\n" for i in range(N + 1) for j in range(i + 1))
+    assert path.read_bytes() == want.encode("ascii")
+
+
 def test_grid_interval_must_match():
     p = _ivp(Coefficient.rotation())
     with pytest.raises(GridMismatchError):
