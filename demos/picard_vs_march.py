@@ -1,9 +1,8 @@
 """Two independent routes to the same field.
 
 The production solver marches the Volterra equation implicitly, column by
-column.  The cross-check solver iterates the fixed-point map under an
-exponentially weighted norm whose weight is chosen from the a-priori bounds
-so every sweep at least halves the distance to the solution.  The two
+column.  The cross-check solver iterates the fixed-point map until the
+largest update anywhere on the triangle is below its tolerance.  The two
 discretize the same equation, so they must agree to solver tolerance, not
 just to scheme accuracy.
 """
@@ -28,7 +27,7 @@ grid = TriangleGrid(0.0, 1.0, 160)
 
 apb = bounds(problem)
 print(f"coefficient sup norm M_A = {apb.M_A:.4f}")
-print(f"contraction weight kappa = {apb.kappa:.4f}")
+print(f"growth exponent kappa    = {apb.kappa:.4f}")
 print(f"a-priori field bound M_F = {apb.M_F:.4f}")
 print()
 

@@ -1,9 +1,10 @@
 """Config-driven invariant suite behind the verify command.
 
-Every check returns a record {name, residual, threshold, pass}.  Inequality
-checks (operator bounds, field bounds) multiply their right-hand side by a
-fixed 1.05 slack for discretization and report the worst signed excess, so
-a pass means the bound holds with margin on every probed point.
+Every check returns a record {name, residual, threshold, margin, pass}
+with margin = threshold - residual.  Inequality checks (operator bounds,
+field bounds) multiply their right-hand side by a fixed 1.05 slack for
+discretization and report the worst signed excess, so a pass means the
+bound holds with margin on every probed point.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def _record(name, residual, threshold):
         residual = float(np.clip(residual, -1e308, 1e308))
         ok = residual <= threshold
     return {"name": name, "residual": residual, "threshold": threshold,
-            "pass": ok}
+            "margin": threshold - residual, "pass": ok}
 
 
 def _opnorm(mats):

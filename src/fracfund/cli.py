@@ -194,11 +194,16 @@ def cmd_solve(args):
 
 
 def cmd_verify(args):
+    import scipy  # the suite loads it anyway, for the R operator and oracle
+
     _, problem, grid_N, tolerances = _load(args)
     records, phases = run_suite(problem, grid_N, tolerances)
     ok = all_pass(records)
+    environment = {"python": ".".join(map(str, sys.version_info[:3])),
+                   "numpy": np.__version__, "scipy": scipy.__version__}
     report = {"alpha": problem.alpha, "grid_N": grid_N,
-              "checks": records, "all_pass": ok, "phases": phases}
+              "checks": records, "all_pass": ok, "phases": phases,
+              "environment": environment}
     with open(args.report, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")

@@ -265,17 +265,13 @@ def solve_F_picard(problem: CauchyProblem, grid: TriangleGrid,
                    max_iter=80, tol=1e-10) -> FundamentalField:
     """Fixed-point iteration for the same discrete equation as solve_F.
 
-    Stops when the sup norm of an update, weighted by exp(-kappa (t - t0))
-    with kappa from bounds(), drops to tol. That kappa comes from the
-    continuous operator bound, which does not cover the self-weight term
-    c_1 w_1[1] A of a coarse grid: a sweep need not halve the weighted norm,
-    and on a coarse grid the iteration can fail to converge where the march
-    solves the same system. The weight also hides late updates, so once
-    kappa (theta - t0) is large an update below tol certifies little about
-    the field itself. Where bounds() finds exp(kappa (theta - t0)) past the
-    double range (M_F = inf), that norm certifies nothing and the iteration
-    is refused. Kept as an independent cross-check of the march, not a
-    production path.
+    Stops when the sup norm of an update over the whole triangle drops to
+    tol. A sweep need not contract: on a coarse grid the self-weight term
+    c_1 w_1[1] A can keep the iteration from converging where the march
+    solves the same system. Where bounds() finds exp(kappa (theta - t0))
+    past the double range (M_F = inf), the iteration is refused: there the
+    sweep can grow until it overflows. Kept as an independent cross-check
+    of the march, not a production path.
     """
     _check_grid(problem, grid)
     t_start = time.perf_counter()
@@ -285,12 +281,10 @@ def solve_F_picard(problem: CauchyProblem, grid: TriangleGrid,
     ga = gamma(alpha)
     diag = np.eye(n) / ga
     ck = (np.arange(N + 1) * h) ** alpha / ga
-    apb = bounds(problem)
-    if math.isinf(apb.M_F):
+    if math.isinf(bounds(problem).M_F):
         raise NonConvergenceError(
             "fixed-point sweep cannot certify convergence: exp(kappa (theta - t0))"
             " overflows for this coefficient; use the march")
-    decay = np.exp(-apb.kappa * h * np.arange(N + 1))
 
     # diagonal-major iterate: cur[k, j] ~ F(t_{j+k}, t_j), valid for j <= N-k
     cur = np.broadcast_to(diag, (N + 1, N + 1, n, n)).copy()
@@ -309,9 +303,9 @@ def solve_F_picard(problem: CauchyProblem, grid: TriangleGrid,
         AP = np.matmul(A_shift, cur).reshape(N + 1, -1)
         nxt = diag + ck[:, None, None, None] * (tables @ AP).reshape(cur.shape)
         dk = np.where(valid, np.abs(nxt - cur).sum(axis=-1).max(axis=-1), 0.0)
-        bnorm = float((dk.max(axis=1) * decay).max())
+        update = float(dk.max())
         cur = nxt
-        if bnorm <= tol:
+        if update <= tol:
             break
     else:
         raise NonConvergenceError(
@@ -321,7 +315,7 @@ def solve_F_picard(problem: CauchyProblem, grid: TriangleGrid,
     ii, jj = np.tril_indices(N + 1)
     values[ii, jj] = cur[ii - jj, jj]
     meta = {"method": "picard", "N": N, "iterations": iterations,
-            "weighted_residual": bnorm,
+            "update_norm": update,
             "wall_time": time.perf_counter() - t_start}
     return FundamentalField(grid, alpha, values, meta)
 

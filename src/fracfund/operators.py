@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.special import hyp2f1
 
 from .errors import DomainError, GridMismatchError
 from .gridfn import GridFn
@@ -116,8 +115,11 @@ def _kernel_profile(s: np.ndarray, alpha: float) -> np.ndarray:
     E(tau/xi).  The Pfaff transformation (Abramowitz & Stegun 15.3.4) of the
     Euler integral gives the closed form
     E(s) = (alpha pi / sin(alpha pi)) 2F1(alpha, 1-alpha; 2; 1-s), whose
-    argument stays in [0, 1) for every s in (0, 1].
+    argument stays in [0, 1) for every s in (0, 1].  Only the R operator
+    and kernel_K reach this, so SciPy is imported here, not with the package.
     """
+    from scipy.special import hyp2f1
+
     pref = alpha * math.pi / math.sin(alpha * math.pi)
     return pref * hyp2f1(alpha, 1.0 - alpha, 2.0, 1.0 - np.asarray(s, dtype=float))
 

@@ -12,7 +12,6 @@ import heapq
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import DomainError, ToleranceNotMetError
 from .special import MLParams, mittag_leffler
@@ -42,7 +41,10 @@ _MAX_PANELS = 4000
 
 
 def _panel_rule(kind, p_lo, p_hi, n):
-    # nodes/weights on [-1, 1] for the declared weight of this panel kind
+    # nodes/weights on [-1, 1] for the declared weight of this panel kind;
+    # SciPy's rules, not quadrules', so no rule code is shared with production
+    from scipy.special import roots_jacobi, roots_legendre
+
     if kind == "both":
         return roots_jacobi(n, p_hi, p_lo)
     if kind == "lo":

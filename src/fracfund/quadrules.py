@@ -3,17 +3,18 @@
 Everything here is deterministic: node counts are fixed constants, never
 adaptive, so repeated runs produce identical bits.  The weights are hat
 function moments: of (t - tau)^(p-1) in one closed form, and of the
-u^eL (1-u)^eR of the normalized marches by fixed Gauss rules.  Every table
+u^eL (1-u)^eR of the normalized marches by fixed Gauss-Jacobi rules, which
+the Golub-Welsch eigenvalue method computes with numpy alone.  Every table
 is a read-only, dense, lower-triangular (N+1) x (N+1) array whose row k
 holds the weights of nodes 0..k for target k and does not depend on N, so
 one table at the grid's N serves every caller on that grid.
 """
 
 from functools import lru_cache
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import roots_jacobi, roots_legendre
 
 SINGULAR_NODES = 32
 SMOOTH_NODES = 16
@@ -26,20 +27,27 @@ _TABLE_ROWS = 64
 def jacobi_rule_01(n: int, p: float, q: float):
     """Nodes/weights u_i, w_i with  int_0^1 u^p (1-u)^q f(u) du = sum w_i f(u_i).
 
-    Exact for polynomial f up to degree 2n-1.  p = q = 0 falls back to
-    Gauss-Legendre.  Returned arrays are read-only.
+    Exact for polynomial f up to degree 2n-1.  Golub-Welsch: the nodes are
+    the eigenvalues of the symmetric tridiagonal Jacobi matrix of the weight
+    (1-x)^q (1+x)^p on [-1, 1], mapped to u = (x+1)/2, and w_i = mu_0 v_0i^2
+    with mu_0 = B(p+1, q+1) and v_i the unit eigenvectors.  Returned arrays
+    are read-only, nodes increasing.
     """
-    if p == 0.0 and q == 0.0:
-        x, w = roots_legendre(n)
-        scale = 0.5
-    else:
-        # p + q = -1 makes SciPy divide by (about) zero at k = 1, in a value
-        # its own np.where discards: nodes and weights are unaffected
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x, w = roots_jacobi(n, q, p)
-        scale = 2.0 ** (-1.0 - p - q)
+    k = np.arange(1, n, dtype=float)
+    s = 2.0 * k + p + q
+    # recurrence coefficients in closed form; diag at k = 0 and the factor
+    # (k+p+q)/(s-1) of off^2 at k = 1 in cancelled form, where p + q = 0
+    # and p + q = -1 would divide 0 by 0
+    diag = np.concatenate([[(p - q) / (p + q + 2.0)],
+                           (p * p - q * q) / (s * (s + 2.0))])
+    ratio = np.ones_like(k)
+    ratio[1:] = (k[1:] + p + q) / (s[1:] - 1.0)
+    off = np.sqrt(4.0 * k * (k + p) * (k + q) / (s * s * (s + 1.0)) * ratio)
+    J = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    x, v = np.linalg.eigh(J)
+    log_mu0 = math.lgamma(p + 1.0) + math.lgamma(q + 1.0) - math.lgamma(p + q + 2.0)
     u = 0.5 * (x + 1.0)
-    w = w * scale
+    w = math.exp(log_mu0) * v[0] ** 2
     u.flags.writeable = False
     w.flags.writeable = False
     return u, w

@@ -303,8 +303,13 @@ def test_verify_clean_problem(tmp_path):
     assert doc["all_pass"] is True
     assert doc["grid_N"] == 128
     for rec in doc["checks"]:
-        assert set(rec) == {"name", "residual", "threshold", "pass"}
+        assert set(rec) == {"name", "residual", "threshold", "margin", "pass"}
         assert rec["pass"] is True
+        assert rec["margin"] == rec["threshold"] - rec["residual"] >= 0.0
+    env = doc["environment"]
+    assert set(env) == {"python", "numpy", "scipy"}
+    assert env["python"] == ".".join(map(str, sys.version_info[:3]))
+    assert env["numpy"] == np.__version__
     by_name = {r["name"]: r for r in doc["checks"]}
     assert by_name["duality"]["residual"] <= 1e-12  # zero coefficient: exact
 
@@ -366,6 +371,74 @@ def test_verify_reports_failures(tmp_path):
     assert any(not r["pass"] for r in doc["checks"])
 
 
+# ------------------------------------------------------------ import path
+
+
+def _child_env():
+    src = str(Path(fracfund.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _run_child(code, *args):
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, timeout=120,
+                          env=_child_env())
+
+
+def test_import_loads_no_scipy():
+    proc = _run_child(
+        "import sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import fracfund\n"
+        "print(scipy_modules())\n"
+        "import fracfund.cli\n"
+        "print(scipy_modules())\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "[]"]
+
+
+_NO_SCIPY = """
+import importlib.abc, sys
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"no {name} in this process")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+from fracfund.cli import main
+cfg, out = sys.argv[1], sys.argv[2]
+codes = [main(["fundamental", "--config", cfg, "--out", out + "/field.csv"])]
+for method in ("direct", "repr-pc", "repr-gc", "repr-gc-compact"):
+    codes.append(main(["solve", "--config", cfg, "--method", method,
+                       "--out", f"{out}/{method}.csv"]))
+print(codes)
+"""
+
+
+def test_field_and_solves_run_without_scipy(tmp_path):
+    cfg = _write_config(tmp_path, n=2, A={"preset": "rotation"},
+                        b={"preset": "constant", "vector": [1.0, 0.0]},
+                        history={"w0": [1.0, 0.0]}, grid_N=128)
+    proc = _run_child(_NO_SCIPY, str(cfg), str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0, 0, 0]"
+    field = np.loadtxt(tmp_path / "field.csv", delimiter=",", skiprows=1)
+    assert field.shape[0] == 129 * 130 // 2 and np.isfinite(field).all()
+    for method in ("direct", "repr-pc", "repr-gc", "repr-gc-compact"):
+        sol = read_csv(tmp_path / f"{method}.csv", value_shape=(2,))
+        assert sol.N == 128 and np.isfinite(sol.values).all()
+    # the finder is what kept SciPy out: verify on the same config needs it
+    proc = _run_child("import sys; from fracfund.cli import main; "
+                      "sys.exit(main(sys.argv[1:]))", "verify", "--config",
+                      str(cfg), "--report", str(tmp_path / "report.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "report.json").read_text())["all_pass"] is True
+
+
 # ---------------------------------------------------------- console script
 
 
@@ -388,11 +461,6 @@ def test_console_script_runs():
     module, func = _console_script_target().split(":")
     wrapper = (f"import sys; from {module} import {func}; "
                f"sys.argv[0] = 'fracfund'; sys.exit({func}())")
-    src = str(Path(fracfund.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", wrapper, "mlf", "--alpha", "1", "--z", "1"],
-        capture_output=True, text=True, timeout=120, env=env)
+    proc = _run_child(wrapper, "mlf", "--alpha", "1", "--z", "1")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2.71828182845905"

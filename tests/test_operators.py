@@ -513,8 +513,8 @@ def test_cached_weight_tables_are_read_only():
 
 @pytest.mark.parametrize("alpha", [0.25, 0.3, 0.55])
 def test_jacobi_rule_with_exponent_sum_minus_one_is_silent(alpha):
-    # the cauchy exponent pair (-alpha, alpha - 1), built past the cache; at
-    # these orders SciPy's recurrence hits 0/0 (0.25, 0.55) or x/0 (0.3)
+    # the cauchy exponent pair (-alpha, alpha - 1), built past the cache;
+    # beta_1 of the recurrence is 0/0 there unless written cancelled
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         u, w = jacobi_rule_01.__wrapped__(32, -alpha, alpha - 1.0)
