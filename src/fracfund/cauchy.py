@@ -7,9 +7,11 @@ The history enters the formulas through the continuation functional psi and
 the modified forcing b_star; psi's difference against its value at t_star is
 alpha-Hoelder at t_star, so the first subinterval of every memory integral is
 integrated with exact point values at fixed Jacobi nodes instead of the
-piecewise-linear shortcut, which would lose the cusp.  Every integral of the
-field against node data, in both formulas and in the identity check that
-links them, goes through one row sum, _field_rows.
+piecewise-linear shortcut, which would lose the cusp.  Each formula, and the
+identity check that links the two general ones, is one pass of the row sum
+_field_rows over the field: every weighted term goes into one node sum per
+row, and the exact first subinterval enters as a per-target head on the
+nodes at t_star and one step later.
 """
 
 from __future__ import annotations
@@ -271,61 +273,61 @@ def b_star(problem: CauchyProblem, psi: GridFn) -> GridFn:
     return GridFn(psi.a, psi.b, psi.N, dq + bn, PIECEWISE_LINEAR)
 
 
-def _field_rows(field, k0, weights, g):
-    """sum over m <= k of weights[k, m] F(t_{k0+k}, t_{k0+m}) g[m], for
-    k = 0..N - k0; g holds one node vector or node matrix per node from
-    t_{k0} on.  Every field-weighted integral goes through this sum; each
-    row of the field is one contiguous slice, so it stays a loop over rows.
+def _field_rows(field, k0, terms, head=None):
+    """sum over m <= k of F(t_{k0+k}, t_{k0+m}) q_k[m], k = 0..N - k0, with
+    q_k[m] the sum of weights[k, m] g[m] over the (weights, g) terms, plus
+    head[k] on q_k[0] and q_k[1] when given; g holds one node vector or node
+    matrix per node from t_{k0} on.  Every field-weighted integral is one
+    call; each field row is one contiguous slice, so it stays a row loop.
     """
     M = field.grid.N - k0
-    out = np.empty((M + 1,) + g.shape[1:])
+    terms = [(w.reshape(w.shape + (1,) * (g.ndim - 1)), g) for w, g in terms]
+    out = np.empty((M + 1,) + terms[0][1].shape[1:])
     for k in range(M + 1):
-        Fg = np.einsum("mab,mb...->ma...", field.values[k0 + k, k0:k0 + k + 1],
-                       g[:k + 1])
-        out[k] = np.tensordot(weights[k, :k + 1], Fg, 1)
+        q = sum(w[k, :k + 1] * g[:k + 1] for w, g in terms)
+        if head is not None and k:
+            q[:2] += head[k]
+        out[k] = np.einsum("mab,mb...->a...",
+                           field.values[k0 + k, k0:k0 + k + 1], q)
     return out
 
 
-def _affine_part(problem, field, k0, base_vec):
-    """(Id + memory integral of F A) base + memory integral of F b,
-    on targets t_star + k h for k = 0..N - k0, summed as
-    base + memory integral of F (A base + b)."""
-    grid = field.grid
-    t = grid.t[k0:]
-    g = problem.A.at(t) @ base_vec + problem.b.at(t)
-    W = left_moment_weights(problem.alpha, grid.N, grid.h)
-    return base_vec + _field_rows(field, k0, W, g)
-
-
-def _memory_term(field, k0, alpha, g_nodes, g_first1, g_first2):
-    """Integral of F(t,.) g(.) (t-.)^(alpha-1) (.-t_star)^(-alpha) per target.
+def _formula_rows(problem, field, k0, start_vec, g_nodes=None, g_at=None):
+    """A representation formula on targets t_star + k h, k = 0..N - k0, in
+    one pass over the field rows: start_vec + memory integral of
+    F (A start_vec + b), plus, when g_nodes is given, the memory term
+    integral of F(t,.) g(.) (t-.)^(alpha-1) (.-t_star)^(-alpha).
 
     g is piecewise linear on the grid except on the first subinterval, where
-    exact point values at two fixed Jacobi families replace it (family 1 when
-    the target is one step away and the second kernel factor is singular too,
-    family 2 otherwise).  F itself stays piecewise linear throughout.  The
-    table's own first panel is subtracted through first_interval_moments,
-    which holds the very values of its columns 0 and 1, and the Jacobi sums
-    take its place: c0 and c1 are the first subinterval's weight on the field
-    columns at t_star and one step later, per target.
+    exact point values g_at(ts) at two fixed Jacobi families replace it
+    (family 1 when the target is one step away and the second kernel factor
+    is singular too, family 2 otherwise).  F itself stays piecewise linear
+    throughout.  The table's own first panel is subtracted through
+    first_interval_moments, which holds the very values of its columns 0
+    and 1, and the Jacobi sums take its place: the head is the first
+    subinterval's weight on the field at t_star and one step later.
     """
-    N = field.grid.N
-    M = N - k0
-    sig0, sig1 = first_interval_moments(N, -alpha, alpha - 1.0)
-    v1, w1 = jacobi_rule_01(SINGULAR_NODES, -alpha, alpha - 1.0)
-    v2, w2 = jacobi_rule_01(SINGULAR_NODES, -alpha, 0.0)
-    k = np.arange(2, M + 1, dtype=float)[:, None]
-    w2k = w2 * (k - v2) ** (alpha - 1.0)
-    c0 = np.vstack([(w1 * (1.0 - v1)) @ g_first1, (w2k * (1.0 - v2)) @ g_first2])
-    c1 = np.vstack([(w1 * v1) @ g_first1, (w2k * v2) @ g_first2])
-    c0 -= sig0[1:M + 1, None] * g_nodes[0]
-    c1 -= sig1[1:M + 1, None] * g_nodes[1]
-    out = _field_rows(field, k0, hat_moment_tables(N, -alpha, alpha - 1.0),
-                      g_nodes)
-    F = field.values[k0 + 1:]
-    out[1:] += (np.einsum("kab,kb->ka", F[:, k0], c0)
-                + np.einsum("kab,kb->ka", F[:, k0 + 1], c1))
-    return out
+    grid = field.grid
+    alpha, N, M = problem.alpha, grid.N, grid.N - k0
+    t = grid.t[k0:]
+    terms = [(left_moment_weights(alpha, N, grid.h),
+              problem.A.at(t) @ start_vec + problem.b.at(t))]
+    head = None
+    if g_nodes is not None:
+        v1, w1 = jacobi_rule_01(SINGULAR_NODES, -alpha, alpha - 1.0)
+        v2, w2 = jacobi_rule_01(SINGULAR_NODES, -alpha, 0.0)
+        v = np.concatenate([v1, v2])
+        wq = np.zeros((M + 1, v.size))
+        wq[1, :v1.size] = w1
+        k = np.arange(2, M + 1)[:, None]
+        wq[2:, v1.size:] = w2 * (k - v2) ** (alpha - 1.0)
+        g_first = g_at(problem.t_star + grid.h * v)
+        sig0, sig1 = first_interval_moments(N, -alpha, alpha - 1.0)
+        head = np.stack(
+            [(wq * (1.0 - v)) @ g_first - sig0[:M + 1, None] * g_nodes[0],
+             (wq * v) @ g_first - sig1[:M + 1, None] * g_nodes[1]], axis=1)
+        terms.append((hat_moment_tables(N, -alpha, alpha - 1.0), g_nodes))
+    return start_vec + _field_rows(field, k0, terms, head)
 
 
 def _assemble(problem, xv, method, t_start):
@@ -335,14 +337,18 @@ def _assemble(problem, xv, method, t_start):
     return Solution(x, method, meta)
 
 
+def _formula_at_t0(problem, field, method, t_start):
+    """Either formula when the start segment collapses to t0: no memory."""
+    return _assemble(problem, _formula_rows(problem, field, 0, problem.w0),
+                     method, t_start)
+
+
 def represent_pc(problem: CauchyProblem, field: FundamentalField) -> Solution:
     """Representation formula for a start value given at t0 itself."""
     if _field_star_index(problem, field) != 0:
         raise PreconditionError(
             "this formula requires the start segment to collapse to t0")
-    t_start = time.perf_counter()
-    return _assemble(problem, _affine_part(problem, field, 0, problem.w0),
-                     METHOD_PC, t_start)
+    return _formula_at_t0(problem, field, METHOD_PC, time.perf_counter())
 
 
 def _general_formula(problem, field, k0, psi_nodes, anchor, start_vec,
@@ -353,18 +359,11 @@ def _general_formula(problem, field, k0, psi_nodes, anchor, start_vec,
     the proper-integral form of psi; the affine part starts from start_vec;
     nodes up to t_star come from the start segment.
     """
-    alpha = problem.alpha
-    h = field.grid.h
     w_seg = problem.history.w_star
-    v1, _ = jacobi_rule_01(SINGULAR_NODES, -alpha, alpha - 1.0)
-    v2, _ = jacobi_rule_01(SINGULAR_NODES, -alpha, 0.0)
-    g1 = _psi_from_history(w_seg, alpha, problem.t_star + h * v1) - anchor
-    g2 = _psi_from_history(w_seg, alpha, problem.t_star + h * v2) - anchor
-    mem = _memory_term(field, k0, alpha, psi_nodes - anchor, g1, g2)
-    aff = _affine_part(problem, field, k0, start_vec)
-
     xv = np.empty((field.grid.N + 1, problem.n))
-    xv[k0:] = aff + mem
+    xv[k0:] = _formula_rows(
+        problem, field, k0, start_vec, psi_nodes - anchor,
+        lambda ts: _psi_from_history(w_seg, problem.alpha, ts) - anchor)
     xv[:k0 + 1] = _prefix_values(problem, field.grid.t, k0)
     return _assemble(problem, xv, method, t_start)
 
@@ -375,8 +374,7 @@ def represent_gc(problem: CauchyProblem, field: FundamentalField) -> Solution:
     t_start = time.perf_counter()
     k0 = _field_star_index(problem, field)
     if k0 == 0:
-        return _assemble(problem, _affine_part(problem, field, 0, problem.w0),
-                         METHOD_GC, t_start)
+        return _formula_at_t0(problem, field, METHOD_GC, t_start)
     phi = problem.history.caputo_samples(problem.alpha)
     psi_nodes = _psi_defining(phi, problem.alpha, field.grid.t[k0:])
     return _general_formula(problem, field, k0, psi_nodes, psi_nodes[0],
@@ -392,8 +390,7 @@ def represent_gc_compact(problem: CauchyProblem,
     t_start = time.perf_counter()
     k0 = _field_star_index(problem, field)
     if k0 == 0:
-        return _assemble(problem, _affine_part(problem, field, 0, problem.w0),
-                         METHOD_GC_COMPACT, t_start)
+        return _formula_at_t0(problem, field, METHOD_GC_COMPACT, t_start)
     psi_nodes = _psi_from_history(problem.history.w_star, problem.alpha,
                                   field.grid.t[k0:])
     return _general_formula(problem, field, k0, psi_nodes, 0.0, problem.w0,
@@ -415,10 +412,9 @@ def gc_compact_identity_residual(problem, field, steps):
         if not 1 <= k <= M:
             raise DomainError(f"step {k} outside 1..{M}")
     t = field.grid.t[k0:]
-    W = left_moment_weights(alpha, N, field.grid.h)
-    tabs = hat_moment_tables(N, -alpha, alpha - 1.0)
     eye = np.eye(problem.n)
-    lhs = eye + _field_rows(field, k0, W, problem.A.at(t))
-    rhs = _field_rows(field, k0, tabs, np.broadcast_to(eye, (M + 1,) + eye.shape))
-    resid = np.abs(lhs - rhs / gamma(1.0 - alpha)).max(axis=(1, 2))
+    terms = [(left_moment_weights(alpha, N, field.grid.h), problem.A.at(t)),
+             (hat_moment_tables(N, -alpha, alpha - 1.0),
+              np.broadcast_to(-eye / gamma(1.0 - alpha), (M + 1,) + eye.shape))]
+    resid = np.abs(eye + _field_rows(field, k0, terms)).max(axis=(1, 2))
     return [float(resid[k]) for k in steps]

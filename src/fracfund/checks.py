@@ -13,8 +13,9 @@ import time
 
 import numpy as np
 
-from .cauchy import (METHOD_DIRECT, b_star, psi_star, represent_gc,
-                     represent_gc_compact, represent_pc, solve_direct)
+from .cauchy import (METHOD_DIRECT, _star_index, b_star, psi_star,
+                     represent_gc, represent_gc_compact, represent_pc,
+                     solve_direct)
 from .fundamental import TriangleGrid, bounds, solve_F, solve_G_dual
 from .gridfn import PIECEWISE_LINEAR, GridFn
 from .operators import (caputo_derivative, fractional_integral, j_operator,
@@ -22,7 +23,7 @@ from .operators import (caputo_derivative, fractional_integral, j_operator,
 from .oracle import constant_coeff_F
 from .problem import CauchyProblem, History
 from .quadrules import left_moment_weights
-from .special import gamma, ml_scalar
+from .special import MLParams, gamma, mittag_leffler, ml_scalar
 
 SLACK = 1.05
 
@@ -51,10 +52,11 @@ def _opnorm(mats):
     return np.abs(mats).sum(axis=-1).max(axis=-1)
 
 
-def special_checks(alpha, ml_tol=1e-14):
+def special_checks(alpha):
     out = []
     z = np.linspace(-5.0, 5.0, 101)
-    e = np.array([ml_scalar(1.0, zz, 1.0, tol=ml_tol) for zz in z])
+    # the series itself (ml_scalar takes E_{1,1} from math.exp), on diag(z)
+    e = np.diag(mittag_leffler(MLParams(1.0, 1.0), np.diag(z)))
     out.append(_record("ml_exp_identity", np.abs(e - np.exp(z)).max(), 1e-10))
     pairs = [(a, b) for a in (0.3, 0.5, alpha, 1.0)
              for b in (0.5, 1.0, alpha + 0.5)]
@@ -174,11 +176,9 @@ def _constant_matrix(problem):
     return None
 
 
-def run_suite(problem: CauchyProblem, grid_N: int, tolerances=None):
+def run_suite(problem: CauchyProblem, grid_N: int):
     """Full invariant sweep for one configured problem; returns the records
     and the wall seconds of each check group."""
-    tol = dict(tolerances or {})
-    ml_tol = float(tol.get("ml_tol", 1e-14))
     N = int(grid_N)
     alpha = problem.alpha
     phases = {}
@@ -189,7 +189,7 @@ def run_suite(problem: CauchyProblem, grid_N: int, tolerances=None):
         phases[phase] = phases.get(phase, 0.0) + marks[-1] - marks[-2]
 
     records = []
-    records += special_checks(alpha, ml_tol)
+    records += special_checks(alpha)
     lap("special")
     records += _operator_records(problem, N)
     lap("operators")
@@ -222,7 +222,7 @@ def run_suite(problem: CauchyProblem, grid_N: int, tolerances=None):
     sols["repr_gc"] = represent_gc(problem, field)
     sols["repr_gc_compact"] = represent_gc_compact(problem, field)
 
-    k0 = round((problem.t_star - problem.t0) * N / (problem.theta - problem.t0))
+    k0 = _star_index(problem, N)
     names = list(sols)
     worst = 0.0
     for a in range(len(names)):
@@ -269,8 +269,7 @@ def history_functional_checks(problem, N):
     moduli = []
     weighted = []
     for mult in (1, 2):
-        M = (N - round((problem.t_star - problem.t0) * N
-                       / (problem.theta - problem.t0))) * mult
+        M = (N - _star_index(problem, N)) * mult
         carrier = GridFn(problem.t_star, problem.theta, M,
                          np.zeros((M + 1, 1)))
         psi = psi_star(phi, alpha, carrier)

@@ -135,6 +135,9 @@ def load_problem(cfg, base_dir):
     t0 = _scalar(cfg.get("t0", 0.0), "t0")
     theta = _scalar(cfg["theta"], "theta")
     n = _integer(cfg["n"], "n")
+    for key in ("A", "b", "history"):
+        if not isinstance(cfg.get(key, {}), dict):
+            raise ProblemSpecError(f"{key} must be a JSON object")
     A = _coefficient(cfg.get("A", {"preset": "zero"}), n, base_dir)
     b = _forcing(cfg.get("b", {"preset": "zero"}), n, base_dir)
     history = _history(cfg.get("history", {}), alpha, t0, n, base_dir)
@@ -196,8 +199,8 @@ def cmd_solve(args):
 def cmd_verify(args):
     import scipy  # the suite loads it anyway, for the R operator and oracle
 
-    _, problem, grid_N, tolerances = _load(args)
-    records, phases = run_suite(problem, grid_N, tolerances)
+    _, problem, grid_N, _ = _load(args)
+    records, phases = run_suite(problem, grid_N)
     ok = all_pass(records)
     environment = {"python": ".".join(map(str, sys.version_info[:3])),
                    "numpy": np.__version__, "scipy": scipy.__version__}

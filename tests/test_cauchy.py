@@ -27,8 +27,8 @@ from fracfund import (
     solve_F,
     solve_direct,
 )
-from fracfund.cauchy import (METHOD_DIRECT, _affine_part, _memory_term,
-                             _psi_defining, _psi_from_history)
+from fracfund.cauchy import (METHOD_DIRECT, _formula_rows, _psi_defining,
+                             _psi_from_history)
 from fracfund.quadrules import (SINGULAR_NODES, first_interval_moments,
                                 hat_moment_tables, jacobi_rule_01,
                                 left_moment_weights)
@@ -383,14 +383,16 @@ def test_field_row_sums_match_row_loops(N, n, alpha):
     v1, _ = jacobi_rule_01(SINGULAR_NODES, -alpha, alpha - 1.0)
     v2, _ = jacobi_rule_01(SINGULAR_NODES, -alpha, 0.0)
     for k0 in sorted({0, 1, N // 3, N - 1} & set(range(N))):
+        problem = _drifting_problem(n, alpha, k0, N)
         start = rng.standard_normal(n)
-        assert _rel(_affine_part(base, field, k0, start),
-                    _reference_affine_part(base, field, k0, start)) <= 1e-14
+        affine = _reference_affine_part(problem, field, k0, start)
+        assert _rel(_formula_rows(problem, field, k0, start), affine) <= 1e-14
         g = _smooth(t[k0:], n)
         g1, g2 = _smooth(t[k0] + h * v1, n), _smooth(t[k0] + h * v2, n)
-        assert _rel(_memory_term(field, k0, alpha, g, g1, g2),
-                    _reference_memory_term(field, k0, alpha, g, g1, g2)) <= 1e-14
-        problem = _drifting_problem(n, alpha, k0, N)
+        memory = _reference_memory_term(field, k0, alpha, g, g1, g2)
+        got = _formula_rows(problem, field, k0, start, g,
+                            lambda ts: _smooth(ts, n))
+        assert _rel(got, affine + memory) <= 1e-14
         steps = list(range(1, N - k0 + 1))
         ref, scale = _reference_identity_residual(problem, field, k0, steps)
         got = gc_compact_identity_residual(problem, field, steps)

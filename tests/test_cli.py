@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import fracfund
-from fracfund import GridFn, checks, cli, gamma, read_csv, write_csv
+from fracfund import GridFn, checks, cli, gamma, read_csv, special, write_csv
 from fracfund.cli import main
 from fracfund.quadrules import jacobi_rule_01
 
@@ -82,7 +82,11 @@ def test_grid_too_coarse(tmp_path):
     {"A": {"preset": "constant", "matrix": [[math.inf]]}},
     {"theta": math.inf},
     {"grid_N": 64.7},
-], ids=["nan-w0", "inf-matrix", "inf-theta", "fractional-grid_N"])
+    {"A": "x"},
+    {"b": [1.0]},
+    {"history": [1, 2]},
+], ids=["nan-w0", "inf-matrix", "inf-theta", "fractional-grid_N",
+        "string-A", "list-b", "list-history"])
 def test_non_finite_or_fractional_input_rejected(tmp_path, overrides):
     cfg = _write_config(tmp_path, **overrides)
     out = tmp_path / "o.csv"
@@ -339,6 +343,19 @@ def test_verify_runs_r_operator_once(tmp_path, monkeypatch):
     report = tmp_path / "report.json"
     assert main(["verify", "--config", str(cfg), "--report", str(report)]) == 0
     assert len(calls) == 1
+
+
+def test_ml_exp_identity_evaluates_the_series(monkeypatch):
+    # a series that is off by 1e-8 relative must fail the exponential check
+    series = special.mittag_leffler
+
+    def wrong(params, Z):
+        return series(params, Z) * (1.0 + 1e-8)
+
+    for module in (special, checks):
+        monkeypatch.setattr(module, "mittag_leffler", wrong)
+    by_name = {r["name"]: r for r in checks.special_checks(0.5)}
+    assert not by_name["ml_exp_identity"]["pass"]
 
 
 def test_verify_generator_history_without_warnings(tmp_path):
