@@ -274,16 +274,16 @@ def b_star(problem: CauchyProblem, psi: GridFn) -> GridFn:
 
 
 def _field_rows(field, k0, terms, head=None):
-    """sum over m <= k of F(t_{k0+k}, t_{k0+m}) q_k[m], k = 0..N - k0, with
-    q_k[m] the sum of weights[k, m] g[m] over the (weights, g) terms, plus
-    head[k] on q_k[0] and q_k[1] when given; g holds one node vector or node
-    matrix per node from t_{k0} on.  Every field-weighted integral is one
-    call; each field row is one contiguous slice, so it stays a row loop.
+    """sum over m <= k of F(t_{k0+k}, t_{k0+m}) q_k[m], k = 0..len(g) - 1,
+    with q_k[m] the sum of weights[k, m] g[m] over the (weights, g) terms,
+    plus head[k] on q_k[0] and q_k[1] when given; g holds one node vector or
+    node matrix per node from t_{k0} up to the last target.  Every
+    field-weighted integral is one call; each field row is one contiguous
+    slice, so it stays a row loop.
     """
-    M = field.grid.N - k0
     terms = [(w.reshape(w.shape + (1,) * (g.ndim - 1)), g) for w, g in terms]
-    out = np.empty((M + 1,) + terms[0][1].shape[1:])
-    for k in range(M + 1):
+    out = np.empty(terms[0][1].shape)
+    for k in range(out.shape[0]):
         q = sum(w[k, :k + 1] * g[:k + 1] for w, g in terms)
         if head is not None and k:
             q[:2] += head[k]
@@ -402,7 +402,8 @@ def gc_compact_identity_residual(problem, field, steps):
 
     Id + integral of F A (t-.)^(alpha-1) must match 1/Gamma(1-alpha) times
     the integral of F (t-.)^(alpha-1) (.-t_star)^(-alpha); returns the max
-    entry residual at each requested step count past t_star.
+    entry residual at each requested step count past t_star.  Only the
+    field rows up to the largest step are summed.
     """
     k0 = _field_star_index(problem, field)
     alpha = problem.alpha
@@ -411,10 +412,10 @@ def gc_compact_identity_residual(problem, field, steps):
     for k in steps:
         if not 1 <= k <= M:
             raise DomainError(f"step {k} outside 1..{M}")
-    t = field.grid.t[k0:]
+    t = field.grid.t[k0:k0 + max(steps, default=0) + 1]
     eye = np.eye(problem.n)
     terms = [(left_moment_weights(alpha, N, field.grid.h), problem.A.at(t)),
              (hat_moment_tables(N, -alpha, alpha - 1.0),
-              np.broadcast_to(-eye / gamma(1.0 - alpha), (M + 1,) + eye.shape))]
+              np.broadcast_to(-eye / gamma(1.0 - alpha), t.shape + eye.shape))]
     resid = np.abs(eye + _field_rows(field, k0, terms)).max(axis=(1, 2))
     return [float(resid[k]) for k in steps]

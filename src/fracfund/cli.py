@@ -118,6 +118,8 @@ def _history(spec, alpha, t0, n, base_dir):
         return History.from_samples(gf, caputo)
     if "generator" in spec:
         gen = spec["generator"]
+        if not isinstance(gen, dict):
+            raise ProblemSpecError("history.generator must be a JSON object")
         phi = read_csv(_resolve(gen["phi_csv"], base_dir), value_shape=(n,))
         return History.from_generator(alpha, _vector(gen["w0"], n), phi)
     if "w0" in spec:
@@ -131,11 +133,13 @@ def _history(spec, alpha, t0, n, base_dir):
 
 def load_problem(cfg, base_dir):
     """Build (problem, grid_N, tolerances) from a parsed config mapping."""
+    if not isinstance(cfg, dict):
+        raise ProblemSpecError("the config must be a JSON object")
     alpha = _scalar(cfg["alpha"], "alpha")
     t0 = _scalar(cfg.get("t0", 0.0), "t0")
     theta = _scalar(cfg["theta"], "theta")
     n = _integer(cfg["n"], "n")
-    for key in ("A", "b", "history"):
+    for key in ("A", "b", "history", "tolerances"):
         if not isinstance(cfg.get(key, {}), dict):
             raise ProblemSpecError(f"{key} must be a JSON object")
     A = _coefficient(cfg.get("A", {"preset": "zero"}), n, base_dir)
@@ -197,13 +201,13 @@ def cmd_solve(args):
 
 
 def cmd_verify(args):
-    import scipy  # the suite loads it anyway, for the R operator and oracle
+    import mpmath  # the suite loads it anyway, for the R operator's kernel
 
     _, problem, grid_N, _ = _load(args)
     records, phases = run_suite(problem, grid_N)
     ok = all_pass(records)
     environment = {"python": ".".join(map(str, sys.version_info[:3])),
-                   "numpy": np.__version__, "scipy": scipy.__version__}
+                   "numpy": np.__version__, "mpmath": mpmath.__version__}
     report = {"alpha": problem.alpha, "grid_N": grid_N,
               "checks": records, "all_pass": ok, "phases": phases,
               "environment": environment}

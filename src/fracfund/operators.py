@@ -9,6 +9,7 @@ sampled directly.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 import math
 
 import numpy as np
@@ -25,6 +26,9 @@ _TAIL_NODES = 4
 # the R-operator weights are built a block of rows at a time, whose panel
 # arrays hold at most about this many values at any N
 _BLOCK_VALUES = 1 << 17
+# terms of each power series of the kernel profile; their argument is at most
+# 1/2, so the first term left out is of order 2^-52 of the leading one
+_PROFILE_TERMS = 52
 
 
 def _check_alpha(alpha):
@@ -108,20 +112,68 @@ def caputo_derivative(x: GridFn, alpha: float) -> GridFn:
     return GridFn(x.a, x.b, N, out.reshape(x.values.shape))
 
 
+@lru_cache(maxsize=8)
+def _profile_series(alpha: float):
+    """Coefficients (g, c, c d) of the two series of _kernel_profile.
+
+    g_n = g_{n-1} (alpha+n-1)(n-alpha) / (n(n+1)) and
+    c_n = c_{n-1} (alpha+n)(1-alpha+n) / (n(n+1)), from g_0 = c_0 = 1;
+    d_n = psi(alpha+n+1) + psi(2-alpha+n) - psi(n+1) - psi(n+2), with
+    psi(1+alpha) and psi(2-alpha) from mpmath, psi(x+1) = psi(x) + 1/x
+    and psi(n+1) = -gamma + H_n.  Read-only arrays, lowest degree first.
+    """
+    import mpmath
+
+    n = np.arange(1, _PROFILE_TERMS, dtype=float)
+    g = np.cumprod(np.append(1.0, (alpha + n - 1.0) * (n - alpha) / (n * (n + 1.0))))
+    c = np.cumprod(np.append(1.0, (alpha + n) * (1.0 - alpha + n) / (n * (n + 1.0))))
+    psi_a = np.append(0.0, np.cumsum(1.0 / (alpha + n)))
+    psi_a += float(mpmath.digamma(1.0 + alpha))
+    psi_b = np.append(0.0, np.cumsum(1.0 / (1.0 - alpha + n)))
+    psi_b += float(mpmath.digamma(2.0 - alpha))
+    h_next = np.cumsum(1.0 / np.arange(1.0, _PROFILE_TERMS + 1.0))  # H_{n+1}
+    d = psi_a + psi_b + 2.0 * np.euler_gamma - h_next - np.append(0.0, h_next[:-1])
+    cd = c * d
+    for arr in (g, c, cd):
+        arr.flags.writeable = False
+    return g, c, cd
+
+
+def _horner(coef, x):
+    """sum of coef[n] x^n, by Horner's rule."""
+    out = np.full_like(x, coef[-1])
+    for a in coef[-2::-1]:
+        out *= x
+        out += a
+    return out
+
+
 def _kernel_profile(s: np.ndarray, alpha: float) -> np.ndarray:
     """E(s) = int_0^1 eta^a (1-eta)^(-a) (s + eta(1-s))^(-a) deta, s in (0, 1].
 
     E is the scale-free profile of K: K(xi, tau) = tau^(alpha-1) xi^(-alpha)
     E(tau/xi).  The Pfaff transformation (Abramowitz & Stegun 15.3.4) of the
-    Euler integral gives the closed form
-    E(s) = (alpha pi / sin(alpha pi)) 2F1(alpha, 1-alpha; 2; 1-s), whose
-    argument stays in [0, 1) for every s in (0, 1].  Only the R operator
-    and kernel_K reach this, so SciPy is imported here, not with the package.
-    """
-    from scipy.special import hyp2f1
+    Euler integral gives E(s) = (alpha pi / sin(alpha pi)) 2F1(alpha, 1-alpha;
+    2; 1-s), summed here as one of two power series whose argument is at
+    most 1/2, each by Horner's rule over _PROFILE_TERMS terms:
 
+    - s >= 1/2: the Gauss series, (alpha pi / sin(alpha pi)) sum g_n z^n
+      with z = 1 - s;
+    - s < 1/2: the logarithmic connection formula (A&S 15.3.11, m = 1),
+      E(s) = 1/(1-alpha) + alpha s sum c_n s^n (log s + d_n).
+
+    The coefficients are those of _profile_series.
+    """
+    g, c, cd = _profile_series(alpha)
+    s = np.asarray(s, dtype=float)
+    out = np.empty_like(s)
+    low = s < 0.5
+    x = s[low]
+    out[low] = 1.0 / (1.0 - alpha) + alpha * x * (np.log(x) * _horner(c, x)
+                                                  + _horner(cd, x))
     pref = alpha * math.pi / math.sin(alpha * math.pi)
-    return pref * hyp2f1(alpha, 1.0 - alpha, 2.0, 1.0 - np.asarray(s, dtype=float))
+    out[~low] = pref * _horner(g, 1.0 - s[~low])
+    return out
 
 
 def kernel_K(xi: float, tau: float, alpha: float) -> float:

@@ -27,6 +27,7 @@ from fracfund import (
     solve_F,
     solve_direct,
 )
+from fracfund import cauchy
 from fracfund.cauchy import (METHOD_DIRECT, _formula_rows, _psi_defining,
                              _psi_from_history)
 from fracfund.quadrules import (SINGULAR_NODES, first_interval_moments,
@@ -397,3 +398,23 @@ def test_field_row_sums_match_row_loops(N, n, alpha):
         ref, scale = _reference_identity_residual(problem, field, k0, steps)
         got = gc_compact_identity_residual(problem, field, steps)
         assert np.abs(np.subtract(got, ref)).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_identity_residual_sums_only_requested_rows(n, monkeypatch):
+    N, k0 = 130, 43
+    problem = _drifting_problem(n, 0.55, k0, N)
+    field = solve_F(problem, TriangleGrid(0.2, 1.7, N))
+    every = gc_compact_identity_residual(problem, field, range(1, N - k0 + 1))
+    rows = []
+    field_rows = cauchy._field_rows
+
+    def counted(*args, **kwargs):
+        out = field_rows(*args, **kwargs)
+        rows.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(cauchy, "_field_rows", counted)
+    assert gc_compact_identity_residual(problem, field, [1, 3]) == [every[0],
+                                                                   every[2]]
+    assert rows == [4]

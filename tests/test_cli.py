@@ -9,6 +9,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -93,6 +94,22 @@ def test_non_finite_or_fractional_input_rejected(tmp_path, overrides):
     assert main(["solve", "--config", str(cfg), "--method", "direct",
                  "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config, key", [
+    ([0.5, 1.0], "config"),
+    ({"tolerances": [1]}, "tolerances"),
+    ({"history": {"generator": [1], "t_star": 0.5}}, "history.generator"),
+], ids=["list-config", "list-tolerances", "list-generator"])
+def test_misshapen_section_named(tmp_path, capsys, config, key):
+    if isinstance(config, dict):
+        cfg = _write_config(tmp_path, **config)
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+    assert main(["fundamental", "--config", str(cfg),
+                 "--out", str(tmp_path / "F.csv")]) == 2
+    assert key in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind", ["samples", "w_star_csv", "caputo_csv",
@@ -311,9 +328,10 @@ def test_verify_clean_problem(tmp_path):
         assert rec["pass"] is True
         assert rec["margin"] == rec["threshold"] - rec["residual"] >= 0.0
     env = doc["environment"]
-    assert set(env) == {"python", "numpy", "scipy"}
+    assert set(env) == {"python", "numpy", "mpmath"}
     assert env["python"] == ".".join(map(str, sys.version_info[:3]))
     assert env["numpy"] == np.__version__
+    assert env["mpmath"] == mpmath.__version__
     by_name = {r["name"]: r for r in doc["checks"]}
     assert by_name["duality"]["residual"] <= 1e-12  # zero coefficient: exact
 
@@ -432,6 +450,7 @@ codes = [main(["fundamental", "--config", cfg, "--out", out + "/field.csv"])]
 for method in ("direct", "repr-pc", "repr-gc", "repr-gc-compact"):
     codes.append(main(["solve", "--config", cfg, "--method", method,
                        "--out", f"{out}/{method}.csv"]))
+codes.append(main(["verify", "--config", cfg, "--report", out + "/report.json"]))
 print(codes)
 """
 
@@ -442,17 +461,12 @@ def test_field_and_solves_run_without_scipy(tmp_path):
                         history={"w0": [1.0, 0.0]}, grid_N=128)
     proc = _run_child(_NO_SCIPY, str(cfg), str(tmp_path))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[0, 0, 0, 0, 0]"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0]"
     field = np.loadtxt(tmp_path / "field.csv", delimiter=",", skiprows=1)
     assert field.shape[0] == 129 * 130 // 2 and np.isfinite(field).all()
     for method in ("direct", "repr-pc", "repr-gc", "repr-gc-compact"):
         sol = read_csv(tmp_path / f"{method}.csv", value_shape=(2,))
         assert sol.N == 128 and np.isfinite(sol.values).all()
-    # the finder is what kept SciPy out: verify on the same config needs it
-    proc = _run_child("import sys; from fracfund.cli import main; "
-                      "sys.exit(main(sys.argv[1:]))", "verify", "--config",
-                      str(cfg), "--report", str(tmp_path / "report.json"))
-    assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "report.json").read_text())["all_pass"] is True
 
 

@@ -120,6 +120,22 @@ def test_kernel_profile_vs_mpmath(alpha):
                 assert abs(got - want) <= 1e-13 * abs(want), (s, got, want)
 
 
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.77, 0.95])
+def test_kernel_profile_series_vs_mpmath(alpha):
+    # a log grid over [1e-12, 1] and the seam of the two series at s = 1/2
+    s = np.concatenate([np.logspace(-12.0, 0.0, 49),
+                        [0.5 - 1e-12, 0.5, 0.5 + 1e-12]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _kernel_profile(s, alpha)
+    with mpmath.workdps(30):
+        a = mpmath.mpf(alpha)
+        pref = a * mpmath.pi / mpmath.sin(a * mpmath.pi)
+        want = [pref * mpmath.hyp2f1(a, 1 - a, 2, 1 - mpmath.mpf(x)) for x in s]
+    for x, g, w in zip(s, got, want):
+        assert abs(g - w) <= 1e-14 * abs(w), (x, g, w)
+
+
 @pytest.mark.parametrize("tau", [0.5, 0.01])
 def test_kernel_vs_adaptive_quad(tau):
     alpha = 0.5
