@@ -8,10 +8,10 @@ the modified forcing b_star; psi's difference against its value at t_star is
 alpha-Hoelder at t_star, so the first subinterval of every memory integral is
 integrated with exact point values at fixed Jacobi nodes instead of the
 piecewise-linear shortcut, which would lose the cusp.  Each formula, and the
-identity check that links the two general ones, is one pass of the row sum
-_field_rows over the field: every weighted term goes into one node sum per
-row, and the exact first subinterval enters as a per-target head on the
-nodes at t_star and one step later.
+identity check that links the two general ones, is one pass of the field's
+row sum fundamental._field_rows: every weighted term is summed against the
+field rows, and the exact first subinterval enters as a per-target head on
+the nodes at t_star and one step later.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (DomainError, GridMismatchError, PreconditionError,
                      SingularSystemError)
-from .fundamental import FundamentalField, _check_grid
+from .fundamental import FundamentalField, _check_grid, _field_rows
 from .gridfn import PIECEWISE_LINEAR, GridFn
 from .problem import CauchyProblem
 from .quadrules import (SINGULAR_NODES, SMOOTH_NODES, first_interval_moments,
@@ -114,7 +114,7 @@ def equation_residual(problem, x: GridFn):
     v = np.einsum("mab,mb->ma", Anodes, x.values[k0:]) + bnodes
     M = N - k0
     W = left_moment_weights(alpha, N, h)
-    rhs = w0 + hist + np.einsum("km,ma->ka", W[1:M + 1, :M + 1], v) / ga
+    rhs = w0 + hist + (W[1:M + 1, :M + 1] @ v) / ga
     return float(np.abs(x.values[k0 + 1:] - rhs).max())
 
 
@@ -271,25 +271,6 @@ def b_star(problem: CauchyProblem, psi: GridFn) -> GridFn:
     steps = (np.arange(1, psi.N + 1) * h) ** alpha
     dq[1:] = (psi.values[1:] - psi.values[0]) / steps[:, None]
     return GridFn(psi.a, psi.b, psi.N, dq + bn, PIECEWISE_LINEAR)
-
-
-def _field_rows(field, k0, terms, head=None):
-    """sum over m <= k of F(t_{k0+k}, t_{k0+m}) q_k[m], k = 0..len(g) - 1,
-    with q_k[m] the sum of weights[k, m] g[m] over the (weights, g) terms,
-    plus head[k] on q_k[0] and q_k[1] when given; g holds one node vector or
-    node matrix per node from t_{k0} up to the last target.  Every
-    field-weighted integral is one call; each field row is one contiguous
-    slice, so it stays a row loop.
-    """
-    terms = [(w.reshape(w.shape + (1,) * (g.ndim - 1)), g) for w, g in terms]
-    out = np.empty(terms[0][1].shape)
-    for k in range(out.shape[0]):
-        q = sum(w[k, :k + 1] * g[:k + 1] for w, g in terms)
-        if head is not None and k:
-            q[:2] += head[k]
-        out[k] = np.einsum("mab,mb...->a...",
-                           field.values[k0 + k, k0:k0 + k + 1], q)
-    return out
 
 
 def _formula_rows(problem, field, k0, start_vec, g_nodes=None, g_at=None):

@@ -53,14 +53,28 @@ class TriangleGrid:
 
 @dataclass
 class FundamentalField:
+    """Field values F(t_i, t_j) on the triangle j <= i of a grid.
+
+    The field is stored as component planes: planes[a, b] is the
+    (N+1, N+1) array of the (a, b) entries, NaN above the diagonal. values
+    is the writable view planes.transpose(2, 3, 0, 1), so values[i, j] is
+    the n x n matrix at (t_i, t_j). The planes let _field_rows sum the rows
+    of the representation formulas a block of rows at a time.
+    """
+
     grid: TriangleGrid
     alpha: float
-    values: np.ndarray  # (N+1, N+1, n, n); NaN above the diagonal
+    planes: np.ndarray  # (n, n, N+1, N+1); NaN above the diagonal
     meta: dict = _dcfield(default_factory=dict)
 
     @property
+    def values(self):
+        """(N+1, N+1, n, n) view of the planes; NaN above the diagonal."""
+        return self.planes.transpose(2, 3, 0, 1)
+
+    @property
     def n(self):
-        return self.values.shape[-1]
+        return self.planes.shape[0]
 
     def at(self, i, j):
         """Matrix value at (t_i, t_j); j must not exceed i."""
@@ -71,20 +85,27 @@ class FundamentalField:
 
     def write_csv(self, path):
         """Write the triangle j <= i, row-major, one line t_i,t_j,F_ij per
-        pair; the lines are gathered from the field a block at a time."""
+        pair; the lines are gathered from the field a block at a time. The
+        N+1 grid times are formatted once and reused on every line."""
         N, n = self.grid.N, self.n
-        t = self.grid.t
-        flat = self.values.reshape(N + 1, N + 1, n * n)
+        times = np.array(["%.17g" % v for v in self.grid.t.tolist()],
+                         dtype=object)
+        flat = self.planes.reshape(n * n, N + 1, N + 1)
         ends = np.cumsum(np.arange(1, N + 2))  # pairs in rows 0..i
 
         def rows(q0, q1):
             q = np.arange(q0, q1)
             i = np.searchsorted(ends, q, side="right")
             j = q - ends[i] + i + 1
-            return np.column_stack([t[i], t[j], flat[i, j]])
+            block = np.empty((q1 - q0, 2 + n * n), dtype=object)
+            block[:, 0] = times[i]
+            block[:, 1] = times[j]
+            block[:, 2:] = flat[:, i, j].T
+            return block
 
         names = ",".join(f"F_{r+1}{c+1}" for r in range(n) for c in range(n))
-        write_table(path, "t,s," + names, int(ends[-1]), rows)
+        write_table(path, "t,s," + names, int(ends[-1]), rows,
+                    ["%s", "%s"] + ["%.17g"] * (n * n))
 
 
 def z_value(field: FundamentalField, i, j):
@@ -188,7 +209,7 @@ def _solve_small(M, R):
 def _march(Anodes, alpha, grid):
     """solve_F's march on the coefficient samples Anodes.
 
-    Returns the NaN-padded square of field values and the phase times. Step
+    Returns the field's component planes and the phase times. Step
     k of column j solves, for F_{j+k,j},
 
         (I - c_k w_k[k] A_{j+k}) F_{j+k,j}
@@ -196,7 +217,9 @@ def _march(Anodes, alpha, grid):
 
     In the block of steps from k0 on, the terms m < k0 come from one GEMM of
     the block's weight rows against AF[:k0]; only k0 <= m < k are summed
-    step by step.
+    step by step. The entries (j + k, j) of a step lie at the flat plane
+    positions k (N+1) + j (N+2), so each step writes them through one
+    strided slice.
     """
     t_start = time.perf_counter()
     N, h, n = grid.N, grid.h, Anodes.shape[-1]
@@ -207,8 +230,9 @@ def _march(Anodes, alpha, grid):
     diag = eye / ga
     ck = (np.arange(N + 1) * h) ** alpha / ga
 
-    values = np.full((N + 1, N + 1, n, n), np.nan)
-    values[np.arange(N + 1), np.arange(N + 1)] = diag
+    planes = np.full((n, n, N + 1, N + 1), np.nan)
+    pflat = planes.reshape(n * n, (N + 1) ** 2)
+    pflat[:, ::N + 2] = diag.reshape(n * n, 1)
     AF = np.empty((N + 1, N + 1, n, n))  # AF[m, j] = A_{j+m} F_{j+m,j}
     AF[0] = Anodes / ga
     solves_s = 0.0
@@ -231,12 +255,11 @@ def _march(Anodes, alpha, grid):
                 raise SingularSystemError(
                     f"self-weight system singular at step {k}; refine N") from None
             solves_s += time.perf_counter() - t_solve
-            j = np.arange(cols)
-            values[j + k, j] = Fk
+            pflat[:, k * (N + 1)::N + 2][:, :cols] = Fk.reshape(cols, n * n).T
             AF[k, :cols] = Anodes[k:] @ Fk
 
     t_end = time.perf_counter()
-    return values, {"tables_s": t_tables - t_start, "march_s": t_end - t_tables,
+    return planes, {"tables_s": t_tables - t_start, "march_s": t_end - t_tables,
                     "solves_s": solves_s}
 
 
@@ -255,10 +278,10 @@ def solve_F(problem: CauchyProblem, grid: TriangleGrid) -> FundamentalField:
     """
     _check_grid(problem, grid)
     t_start = time.perf_counter()
-    values, phases = _march(problem.A.at(grid.t), problem.alpha, grid)
+    planes, phases = _march(problem.A.at(grid.t), problem.alpha, grid)
     meta = {"method": "march", "N": grid.N, **phases,
             "wall_time": time.perf_counter() - t_start}
-    return FundamentalField(grid, problem.alpha, values, meta)
+    return FundamentalField(grid, problem.alpha, planes, meta)
 
 
 def solve_F_picard(problem: CauchyProblem, grid: TriangleGrid,
@@ -311,13 +334,13 @@ def solve_F_picard(problem: CauchyProblem, grid: TriangleGrid,
         raise NonConvergenceError(
             f"fixed-point sweep still above tol after {max_iter} iterations")
 
-    values = np.full((N + 1, N + 1, n, n), np.nan)
+    planes = np.full((n, n, N + 1, N + 1), np.nan)
     ii, jj = np.tril_indices(N + 1)
-    values[ii, jj] = cur[ii - jj, jj]
+    planes.transpose(2, 3, 0, 1)[ii, jj] = cur[ii - jj, jj]
     meta = {"method": "picard", "N": N, "iterations": iterations,
             "update_norm": update,
             "wall_time": time.perf_counter() - t_start}
-    return FundamentalField(grid, alpha, values, meta)
+    return FundamentalField(grid, alpha, planes, meta)
 
 
 def solve_G_dual(problem: CauchyProblem, grid: TriangleGrid) -> FundamentalField:
@@ -333,7 +356,40 @@ def solve_G_dual(problem: CauchyProblem, grid: TriangleGrid) -> FundamentalField
     t_start = time.perf_counter()
     Anodes = problem.A.at(grid.t)
     mirrored, phases = _march(np.swapaxes(Anodes[::-1], 1, 2), problem.alpha, grid)
-    values = np.ascontiguousarray(mirrored[::-1, ::-1].transpose(1, 0, 3, 2))
+    planes = np.ascontiguousarray(
+        mirrored.transpose(1, 0, 3, 2)[:, :, ::-1, ::-1])
     meta = {"method": "dual_march", "N": grid.N, **phases,
             "wall_time": time.perf_counter() - t_start}
-    return FundamentalField(grid, problem.alpha, values, meta)
+    return FundamentalField(grid, problem.alpha, planes, meta)
+
+
+# Target rows per block of the field-row sum.
+_ROWS = 128
+
+
+def _field_rows(field, k0, terms, head=None):
+    """sum over m <= k of F(t_{k0+k}, t_{k0+m}) q_k[m], k = 0..len(g) - 1,
+    with q_k[m] the sum of weights[k, m] g[m] over the (weights, g) terms,
+    plus head[k] on q_k[0] and q_k[1] for k >= 1 when given; g holds one
+    node vector or node matrix per node from t_{k0} up to the last target.
+
+    The rows are summed _ROWS at a time on the component planes: for each
+    (a, b), the block of plane F_ab times the block of a term's weights is
+    one matrix product with g[:, b]. Only the block's square tip reaches
+    above the diagonal, where the planes hold NaN; it is masked to zero.
+    """
+    F = field.planes[:, :, k0:, k0:]
+    out = np.zeros(terms[0][1].shape)
+    K = out.shape[0]
+    for r0 in range(0, K, _ROWS):
+        r1 = min(r0 + _ROWS, K)
+        below = np.tri(r1 - r0, dtype=bool)
+        for a in range(field.n):
+            for b in range(field.n):
+                for w, g in terms:
+                    P = F[a, b, r0:r1, :r1] * w[r0:r1, :r1]
+                    P[:, r0:] = np.where(below, P[:, r0:], 0.0)
+                    out[r0:r1, a] += P @ g[:r1, b]
+    if head is not None:
+        out[1:] += np.einsum("abkm,kmb...->ka...", F[:, :, 1:K, :2], head[1:K])
+    return out

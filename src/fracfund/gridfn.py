@@ -92,20 +92,21 @@ class GridFn:
 _CSV_ROWS = 4096
 
 
-def write_table(path, header, nrows, rows) -> None:
+def write_table(path, header, nrows, rows, formats=None) -> None:
     """Write a CSV: the header line, then nrows rows of floats.
 
     rows(r0, r1) returns rows r0..r1-1 as a 2-D array; it is asked for
     _CSV_ROWS rows at a time, and each such block is formatted by a single %
-    over a repeated row format. Every value is written as %.17g, so reloading
-    reproduces the doubles exactly; the bytes are those of
-    np.savetxt(fmt="%.17g", delimiter=",").
+    over a repeated row format. By default every value is written as %.17g,
+    so reloading reproduces the doubles exactly; the bytes are those of
+    np.savetxt(fmt="%.17g", delimiter=","). formats gives one format per
+    column instead, e.g. %s for a column of values formatted beforehand.
     """
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(header + "\n")
         for r0 in range(0, nrows, _CSV_ROWS):
             block = rows(r0, min(r0 + _CSV_ROWS, nrows))
-            row = ",".join(["%.17g"] * block.shape[1]) + "\n"
+            row = ",".join(formats or ["%.17g"] * block.shape[1]) + "\n"
             fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 

@@ -30,6 +30,7 @@ from fracfund import (
 from fracfund import cauchy
 from fracfund.cauchy import (METHOD_DIRECT, _formula_rows, _psi_defining,
                              _psi_from_history)
+from fracfund.fundamental import _ROWS
 from fracfund.quadrules import (SINGULAR_NODES, first_interval_moments,
                                 hat_moment_tables, jacobi_rule_01,
                                 left_moment_weights)
@@ -348,11 +349,14 @@ def _reference_identity_residual(problem, field, k0, steps):
 def _drifting_problem(n, alpha, k0, N):
     # time-varying, non-symmetric coefficient, nonzero forcing, and a start
     # segment ending at node k0 of the N grid on [0.2, 1.7]
-    A0 = np.array([[0.2, 1.0], [-1.3, 0.1]])[:n, :n]
-    A1 = np.array([[-0.4, 0.3], [0.5, 0.6]])[:n, :n]
+    A0 = np.array([[0.2, 1.0, 0.4], [-1.3, 0.1, 0.0],
+                   [0.3, -0.6, -0.2]])[:n, :n]
+    A1 = np.array([[-0.4, 0.3, 0.1], [0.5, 0.6, -0.2],
+                   [0.0, 0.7, 0.3]])[:n, :n]
     A = Coefficient(n, lambda t: (np.cos(3.0 * t)[:, None, None] * A0
                                   + t[:, None, None] * A1))
-    b = Forcing.from_callable(n, lambda t: np.array([np.sin(t), 1.0])[:n])
+    b = Forcing.from_callable(
+        n, lambda t: np.array([np.sin(t), 1.0, np.cos(t)])[:n])
     if k0 == 0:
         return CauchyProblem.from_initial_value(alpha, 0.2, 1.7, A, b,
                                                 np.ones(n))
@@ -370,20 +374,24 @@ def _rel(got, ref):
 def _smooth(t, n):
     # node data of the kind the memory term integrates: one smooth function,
     # sampled at the nodes and at the first subinterval's Jacobi points
-    return np.column_stack([np.cos(2.0 * t), 1.0 + t])[:, :n]
+    return np.column_stack([np.cos(2.0 * t), 1.0 + t, np.sin(t)])[:, :n]
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.7])
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("N", [1, 2, 3, 64, 130])
 def test_field_row_sums_match_row_loops(N, n, alpha):
+    # the row sum runs in blocks of _ROWS rows: at N = 130, k0 = 2 and 3
+    # give _ROWS + 1 and _ROWS target rows; the identity residual's terms
+    # carry a matrix-valued g
     rng = np.random.default_rng(N * 10 + n)
     base = _drifting_problem(n, alpha, 0, N)
     field = solve_F(base, TriangleGrid(0.2, 1.7, N))
     t, h = field.grid.t, field.grid.h
     v1, _ = jacobi_rule_01(SINGULAR_NODES, -alpha, alpha - 1.0)
     v2, _ = jacobi_rule_01(SINGULAR_NODES, -alpha, 0.0)
-    for k0 in sorted({0, 1, N // 3, N - 1} & set(range(N))):
+    for k0 in sorted({0, 1, N // 3, N - 1, N - _ROWS, N + 1 - _ROWS}
+                     & set(range(N))):
         problem = _drifting_problem(n, alpha, k0, N)
         start = rng.standard_normal(n)
         affine = _reference_affine_part(problem, field, k0, start)
@@ -398,6 +406,10 @@ def test_field_row_sums_match_row_loops(N, n, alpha):
         ref, scale = _reference_identity_residual(problem, field, k0, steps)
         got = gc_compact_identity_residual(problem, field, steps)
         assert np.abs(np.subtract(got, ref)).max() <= 1e-14 * scale
+    # a single target row: the field's last node alone
+    start = rng.standard_normal(n)
+    assert _rel(_formula_rows(base, field, N, start),
+                _reference_affine_part(base, field, N, start)) <= 1e-14
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -98,6 +98,9 @@ def test_march_vs_picard():
     assert np.nanmax(np.abs(Fm.values - Fp.values)) < 1e-7  # measured 6.7e-9
     assert Fp.meta["iterations"] > 1
     assert Fp.meta["update_norm"] <= 1e-12
+    # every route stores component planes; values is a view of them
+    assert all(np.shares_memory(f.values, f.planes)
+               for f in (Fm, Fp, solve_G_dual(p, g)))
 
 
 def test_duality_cross_check():
