@@ -17,7 +17,7 @@ from .errors import (DomainError, GridMismatchError, NonConvergenceError,
 from .fundamental import (AprioriBounds, FundamentalField, TriangleGrid,
                           bounds, solve_F, solve_F_picard, solve_G_dual,
                           z_value)
-from .gridfn import PIECEWISE_LINEAR, GridFn, read_csv, write_csv
+from .gridfn import GridFn, read_csv, write_csv
 from .operators import (OpConstants, caputo_derivative, fractional_integral,
                         j_operator, kernel_K, op_constants, r_operator)
 from .problem import CauchyProblem, Coefficient, Forcing, History
@@ -34,7 +34,7 @@ __all__ = [
     "ToleranceNotMetError",
     "AprioriBounds", "FundamentalField", "TriangleGrid", "bounds",
     "solve_F", "solve_F_picard", "solve_G_dual", "z_value",
-    "PIECEWISE_LINEAR", "GridFn", "read_csv", "write_csv",
+    "GridFn", "read_csv", "write_csv",
     "OpConstants", "caputo_derivative", "fractional_integral", "j_operator",
     "kernel_K", "op_constants", "r_operator",
     "CauchyProblem", "Coefficient", "Forcing", "History",

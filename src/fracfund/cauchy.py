@@ -25,7 +25,7 @@ import numpy as np
 from .errors import (DomainError, GridMismatchError, PreconditionError,
                      SingularSystemError)
 from .fundamental import FundamentalField, _check_grid, _field_rows
-from .gridfn import PIECEWISE_LINEAR, GridFn
+from .gridfn import GridFn
 from .problem import CauchyProblem
 from .quadrules import (SINGULAR_NODES, SMOOTH_NODES, first_interval_moments,
                         hat_moment_tables, hypersingular_tail_weights,
@@ -247,7 +247,7 @@ def psi_star(phi: GridFn, alpha, target: GridFn) -> GridFn:
         vals = np.zeros((target.N + 1,) + phi.value_shape)
     else:
         vals = _psi_defining(phi, alpha, target.t)
-    return GridFn(target.a, target.b, target.N, vals, PIECEWISE_LINEAR)
+    return GridFn(target.a, target.b, target.N, vals)
 
 
 def b_star(problem: CauchyProblem, psi: GridFn) -> GridFn:
@@ -270,7 +270,7 @@ def b_star(problem: CauchyProblem, psi: GridFn) -> GridFn:
     dq[0] = (psi.values[1] - psi.values[0]) / h ** alpha
     steps = (np.arange(1, psi.N + 1) * h) ** alpha
     dq[1:] = (psi.values[1:] - psi.values[0]) / steps[:, None]
-    return GridFn(psi.a, psi.b, psi.N, dq + bn, PIECEWISE_LINEAR)
+    return GridFn(psi.a, psi.b, psi.N, dq + bn)
 
 
 def _formula_rows(problem, field, k0, start_vec, g_nodes=None, g_at=None):
@@ -312,7 +312,7 @@ def _formula_rows(problem, field, k0, start_vec, g_nodes=None, g_at=None):
 
 
 def _assemble(problem, xv, method, t_start):
-    x = GridFn(problem.t0, problem.theta, xv.shape[0] - 1, xv, PIECEWISE_LINEAR)
+    x = GridFn(problem.t0, problem.theta, xv.shape[0] - 1, xv)
     meta = {"N": xv.shape[0] - 1, "residual": equation_residual(problem, x),
             "wall_time": time.perf_counter() - t_start}
     return Solution(x, method, meta)

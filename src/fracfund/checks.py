@@ -17,7 +17,7 @@ from .cauchy import (METHOD_DIRECT, _star_index, b_star, psi_star,
                      represent_gc, represent_gc_compact, represent_pc,
                      solve_direct)
 from .fundamental import TriangleGrid, bounds, solve_F, solve_G_dual
-from .gridfn import PIECEWISE_LINEAR, GridFn
+from .gridfn import GridFn
 from .operators import (caputo_derivative, fractional_integral, j_operator,
                         op_constants, r_operator)
 from .oracle import constant_coeff_F

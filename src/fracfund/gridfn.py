@@ -7,13 +7,11 @@ contract is what makes the product-integration moments exact for affine
 data.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, GridMismatchError
-
-PIECEWISE_LINEAR = "piecewise_linear"
 
 
 @dataclass
@@ -22,15 +20,12 @@ class GridFn:
     b: float
     N: int
     values: np.ndarray
-    interp: str = PIECEWISE_LINEAR
 
     def __post_init__(self):
         self.a = float(self.a)
         self.b = float(self.b)
         self.N = int(self.N)
         self.values = np.asarray(self.values, dtype=float)
-        if self.interp != PIECEWISE_LINEAR:
-            raise DomainError(f"unsupported interpolation {self.interp!r}")
         if self.N < 0:
             raise DomainError("N must be nonnegative")
         if self.N == 0:

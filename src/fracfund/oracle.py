@@ -1,14 +1,17 @@
 """Independent reference computations used to cross-check the solvers.
 
 Nothing here shares integration logic with the production modules: the
-adaptive quadrature below drives its own panel subdivision, and the
-high-precision Mittag-Leffler reference is summed with mpmath arbitrary
-precision.  Production code must never call into this module except for
+adaptive quadrature below drives its own panel subdivision with mpmath's
+Gauss-Jacobi rules (not `quadrules`' Golub-Welsch), and the high-precision
+Mittag-Leffler reference is summed with mpmath arbitrary precision.
+Production code must never call into this module except for
 `constant_coeff_F`, which is itself part of the public contract.
 """
 
 from dataclasses import dataclass
+import functools
 import heapq
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,46 +43,34 @@ _NODES_HIGH = 32
 _MAX_PANELS = 4000
 
 
-def _panel_rule(kind, p_lo, p_hi, n):
-    # nodes/weights on [-1, 1] for the declared weight of this panel kind;
-    # SciPy's rules, not quadrules', so no rule code is shared with production
-    from scipy.special import roots_jacobi, roots_legendre
+@functools.lru_cache(maxsize=None)
+def _panel_rule(n, e_lo, e_hi):
+    # nodes/weights on [-1, 1] for the weight (1+x)^e_lo (1-x)^e_hi; mpmath's
+    # Jacobi rules, not quadrules' Golub-Welsch, so no rule code is shared with
+    # production
+    import mpmath
 
-    if kind == "both":
-        return roots_jacobi(n, p_hi, p_lo)
-    if kind == "lo":
-        return roots_jacobi(n, 0.0, p_lo)
-    if kind == "hi":
-        return roots_jacobi(n, p_hi, 0.0)
-    return roots_legendre(n)
+    x, w = mpmath.gauss_quadrature(n, "jacobi", e_hi, e_lo)
+    return np.array(x, dtype=float), np.array(w, dtype=float)
 
 
-def _eval_panel(f, a, b, lo, hi, kind, p_lo, p_hi, n):
-    # integrate f over [a, b]; for weighted kinds the declared singular factor
-    # is divided out of f and carried by the Jacobi weight instead
-    x, w = _panel_rule(kind, p_lo, p_hi, n)
+def _eval_panel(f, a, b, lo, hi, e_lo, e_hi, n):
+    # integrate f over [a, b]; the panel's end exponents e_lo, e_hi (0 at an
+    # end inside the interval) are divided out of f and carried by the weight
+    x, w = _panel_rule(n, e_lo, e_hi)
     half = 0.5 * (b - a)
     pts = a + half * (x + 1.0)
-    scale = half
-    if kind in ("lo", "both"):
-        scale *= half ** p_lo
-    if kind in ("hi", "both"):
-        scale *= half ** p_hi
     acc = None
     for xi, wi in zip(pts, w):
-        val = np.asarray(f(xi), dtype=float)
-        if kind in ("lo", "both"):
-            val = val / (xi - lo) ** p_lo
-        if kind in ("hi", "both"):
-            val = val / (hi - xi) ** p_hi
+        val = np.asarray(f(xi), dtype=float) / (xi - lo) ** e_lo / (hi - xi) ** e_hi
         contrib = wi * val
         acc = contrib if acc is None else acc + contrib
-    return acc * scale
+    return acc * (half * half ** e_lo * half ** e_hi)
 
 
-def _panel_estimate(f, a, b, lo, hi, kind, p_lo, p_hi):
-    coarse = _eval_panel(f, a, b, lo, hi, kind, p_lo, p_hi, _NODES_LOW)
-    fine = _eval_panel(f, a, b, lo, hi, kind, p_lo, p_hi, _NODES_HIGH)
+def _panel_estimate(f, a, b, lo, hi, e_lo, e_hi):
+    coarse = _eval_panel(f, a, b, lo, hi, e_lo, e_hi, _NODES_LOW)
+    fine = _eval_panel(f, a, b, lo, hi, e_lo, e_hi, _NODES_HIGH)
     err = float(np.max(np.abs(fine - coarse)))
     return fine, err
 
@@ -99,19 +90,12 @@ def adaptive_quad(spec: QuadSpec) -> np.ndarray:
     if p_lo <= -1.0 or p_hi <= -1.0:
         raise DomainError("endpoint exponents must be > -1 for integrability")
 
-    def kind_of(a, b):
-        at_lo = (a == lo) and p_lo != 0.0
-        at_hi = (b == hi) and p_hi != 0.0
-        if at_lo and at_hi:
-            return "both"
-        if at_lo:
-            return "lo"
-        if at_hi:
-            return "hi"
-        return "interior"
+    def ends(a, b):
+        # a panel end carries the declared exponent only at the interval's end
+        return (p_lo if a == lo else 0.0), (p_hi if b == hi else 0.0)
 
     f = spec.integrand
-    val, err = _panel_estimate(f, lo, hi, lo, hi, kind_of(lo, hi), p_lo, p_hi)
+    val, err = _panel_estimate(f, lo, hi, lo, hi, *ends(lo, hi))
     # heap of (-err, counter, a, b, value, err); counter breaks ties
     count = 0
     heap = [(-err, count, lo, hi, val, err)]
@@ -127,7 +111,7 @@ def adaptive_quad(spec: QuadSpec) -> np.ndarray:
         total_err -= e
         mid = 0.5 * (a + b)
         for aa, bb in ((a, mid), (mid, b)):
-            vv, ee = _panel_estimate(f, aa, bb, lo, hi, kind_of(aa, bb), p_lo, p_hi)
+            vv, ee = _panel_estimate(f, aa, bb, lo, hi, *ends(aa, bb))
             count += 1
             heapq.heappush(heap, (-ee, count, aa, bb, vv, ee))
             total_err += ee
@@ -178,11 +162,16 @@ def ml_reference(alpha: float, beta: float, z: complex, dps: int = 40) -> comple
     """Arbitrary-precision scalar Mittag-Leffler sum via mpmath.
 
     Used by the test suite to pin expected values; the production series in
-    `special` must agree with this to its own tolerance.
+    `special` must agree with this to its own tolerance.  Off the non-negative
+    real axis the terms grow to about exp(|z|^(1/alpha)) before they cancel,
+    so the sum carries that many extra digits.
     """
     import mpmath as mp
 
-    with mp.workdps(dps):
+    zc = complex(z)
+    cancel = zc.imag != 0.0 or zc.real < 0.0
+    extra = math.ceil(abs(zc) ** (1.0 / alpha) * math.log10(math.e)) if cancel else 0
+    with mp.workdps(dps + extra):
         zz = mp.mpmathify(z)
         s = mp.mpf(0)
         eps = mp.mpf(10) ** (-dps + 2)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProblemSpecError
-from .gridfn import PIECEWISE_LINEAR, GridFn
+from .gridfn import GridFn
 
 
 def _eval_on_nodes(fn, t, shape):
@@ -170,8 +170,8 @@ class History:
     def point(cls, t0, w0):
         """Degenerate history t_star == t0: just the start vector."""
         w0 = np.asarray(w0, dtype=float).reshape(-1)
-        seg = GridFn(t0, t0, 0, w0[None, :], PIECEWISE_LINEAR)
-        dz = GridFn(t0, t0, 0, np.zeros((1, w0.size)), PIECEWISE_LINEAR)
+        seg = GridFn(t0, t0, 0, w0[None, :])
+        dz = GridFn(t0, t0, 0, np.zeros((1, w0.size)))
         return cls(seg, dz)
 
     @classmethod
@@ -191,7 +191,7 @@ class History:
         if phi.value_shape != (w0.size,):
             raise ProblemSpecError("density dimension does not match w0")
         integ = fractional_integral(phi, alpha, "left")
-        seg = GridFn(phi.a, phi.b, phi.N, integ.values + w0, PIECEWISE_LINEAR)
+        seg = GridFn(phi.a, phi.b, phi.N, integ.values + w0)
         return cls(seg, phi)
 
     def caputo_samples(self, alpha):

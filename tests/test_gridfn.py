@@ -29,8 +29,6 @@ def test_construction_rejects():
     with pytest.raises(DomainError):
         GridFn(0.0, 1.0, 0, np.zeros(1))  # N = 0 needs a == b
     with pytest.raises(DomainError):
-        GridFn(0.0, 1.0, 2, np.zeros(3), interp="spline")
-    with pytest.raises(DomainError):
         GridFn(0.0, 1.0, -1, np.zeros(0))
 
 

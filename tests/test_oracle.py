@@ -3,6 +3,7 @@ order estimation, arbitrary-precision pins."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,6 +25,7 @@ from fracfund.oracle import (
     adaptive_quad,
     constant_coeff_F,
     convergence_order,
+    _panel_rule,
     gamma_reference,
     ml_reference,
 )
@@ -42,6 +44,29 @@ def test_quad_beta_integral():
         tol=1e-13,
     )
     assert float(adaptive_quad(spec)) == pytest.approx(math.pi / 2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("e_lo, e_hi", [(0.0, 0.0), (-0.5, 0.0), (0.0, -0.7),
+                                        (-0.45, -0.55), (0.3, -0.95)])
+def test_panel_rule_exact_for_polynomials(n, e_lo, e_hi):
+    # the weight is (1+x)^e_lo (1-x)^e_hi on [-1, 1], so (1+x)^k integrates
+    # to 2^(e_lo+e_hi+k+1) B(e_lo+k+1, e_hi+1) for every k < 2n
+    x, w = _panel_rule(n, e_lo, e_hi)
+    for k in range(2 * n):
+        with mpmath.workdps(30):
+            exact = float(mpmath.mpf(2) ** (e_lo + e_hi + k + 1)
+                          * mpmath.beta(e_lo + k + 1, e_hi + 1))
+        assert np.dot(w, (1.0 + x) ** k) == pytest.approx(exact, rel=1e-13)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.45, 0.55])
+def test_quad_representation_kernel(alpha):
+    # u^(-alpha) (1-u)^(alpha-1): the exponents sum to -1
+    spec = QuadSpec(lambda u: u ** -alpha * (1.0 - u) ** (alpha - 1.0), (0.0, 1.0),
+                    exponents=(-alpha, alpha - 1.0), tol=1e-13)
+    exact = math.pi / math.sin(math.pi * alpha)
+    assert float(adaptive_quad(spec)) == pytest.approx(exact, rel=1e-14)
 
 
 def test_quad_polynomial_exact():
@@ -83,12 +108,11 @@ def test_constant_F_zero_matrix():
 
 
 def test_constant_F_order_one_is_expm():
-    from scipy.linalg import expm
-
     A0 = np.array([[0.1, 1.0], [-1.0, 0.2]])
     dt = 0.8
     out = constant_coeff_F(A0, 1.0, dt)
-    np.testing.assert_allclose(out, expm(dt * A0), atol=1e-10)
+    expm = np.array(mpmath.expm(mpmath.matrix(dt * A0)).tolist(), dtype=float)
+    np.testing.assert_allclose(out, expm, atol=1e-10)
 
 
 def test_constant_F_rejects():
@@ -146,6 +170,17 @@ def test_ml_reference_agrees_with_series():
         ref = ml_reference(a, b, z)
         got = ml_scalar(a, z, beta=b)
         assert got == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [6.0, 15.0, 20.0])
+def test_ml_reference_negative_half_order(x):
+    # E_{1/2}(-x) = erfcx(x) and E_{1/2,1/2}(-x) = 1/sqrt(pi) - x erfcx(x);
+    # the second loses digits in doubles, so both sides come from mpmath
+    with mpmath.workdps(60):
+        erfcx = mpmath.exp(mpmath.mpf(x) ** 2) * mpmath.erfc(x)
+        half_half = 1 / mpmath.sqrt(mpmath.pi) - x * erfcx
+    assert ml_reference(0.5, 1.0, -x) == pytest.approx(float(erfcx), rel=1e-13)
+    assert ml_reference(0.5, 0.5, -x) == pytest.approx(float(half_half), rel=1e-13)
 
 
 def test_ml_reference_matrix_consistency():
