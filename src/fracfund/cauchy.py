@@ -12,6 +12,17 @@ identity check that links the two general ones, is one pass of the field's
 row sum fundamental._field_rows: every weighted term is summed against the
 field rows, and the exact first subinterval enters as a per-target head on
 the nodes at t_star and one step later.
+
+The history functionals (the memory integral of the segment, and psi in
+either form) choose their summation from their targets.  Targets t_star +
+k h on the segment's own lattice, which are the nodes of any grid that
+shares the segment's step, see weights that depend on the distance in steps
+alone.  There each functional is one convolution per component (per
+Legendre node for psi's smooth panels) with a profile of O(N) powers; the
+segment's end nodes and psi's singular last panel are added per entry.
+Every other target (the Jacobi points of the first subinterval, a doubled
+grid, a segment read from another grid) takes one closed-form weight per
+(target, node) entry.
 """
 
 from __future__ import annotations
@@ -28,8 +39,8 @@ from .fundamental import FundamentalField, _check_grid, _field_rows
 from .gridfn import GridFn
 from .problem import CauchyProblem
 from .quadrules import (SINGULAR_NODES, SMOOTH_NODES, first_interval_moments,
-                        hat_moment_tables, hypersingular_tail_weights,
-                        jacobi_rule_01, left_moment_weights, left_moments_at)
+                        hat_moment_tables, jacobi_rule_01, lattice_hat_moments,
+                        left_moment_weights, left_moments_at)
 from .special import gamma
 
 METHOD_DIRECT = "direct"
@@ -39,6 +50,9 @@ METHOD_GC_COMPACT = "repr_gc_compact"
 METHODS = (METHOD_DIRECT, METHOD_PC, METHOD_GC, METHOD_GC_COMPACT)
 
 _PSI_CHUNK = 256
+# targets within this many steps of a lattice point count as on it; the grid
+# check of _star_index accepts t_star on the same terms
+_LATTICE_TOL = 1e-8
 
 
 @dataclass
@@ -83,14 +97,52 @@ def _prefix_values(problem, t, k0):
     return seg.sample(t[:k0 + 1])
 
 
+def _lattice_start(seg: GridFn, ts):
+    """Offset k when ts = seg.b + (k + i) seg.h for i = 0, 1, ..., with
+    k >= 0; None when the targets are off the segment's lattice."""
+    if seg.N < 1 or len(ts) == 0:
+        return None
+    pos = (ts - seg.b) / seg.h
+    k = round(float(pos[0]))
+    if k < 0 or np.abs(pos - (k + np.arange(len(ts)))).max() > _LATTICE_TOL:
+        return None
+    return k
+
+
+def _moment_sums(p, seg: GridFn, ts, values):
+    """Hat-moment integrals of (t - tau)^(p-1) against values over the
+    segment's nodes, one row per target t >= seg.b (t > seg.b for p <= 0).
+
+    On the segment's lattice a weight depends only on the distance in steps,
+    so one profile of O(N) powers serves every entry.  The two end nodes take
+    one interval weight each; an interior node takes the far weight of the
+    interval behind it plus the near weight of the one in front, a function
+    of its distance alone, so the interior sums are one convolution per
+    component.  Elsewhere each (target, node) weight is its own closed form.
+    """
+    k = _lattice_start(seg, ts)
+    if k is None or (k == 0 and p <= 0):
+        out = np.empty((len(ts), values.shape[1]))
+        for lo in range(0, len(ts), _PSI_CHUNK):
+            w = left_moments_at(p, seg.t, ts[lo:lo + _PSI_CHUNK])
+            out[lo:lo + _PSI_CHUNK] = w @ values
+        return out
+    K, nt = seg.N, len(ts)
+    # entry e of the profile is the interval whose far node is k + 1 + e
+    # steps before the first target
+    far, near = lattice_hat_moments(p, seg.h, K + k + nt - 1, k)
+    out = near[:nt, None] * values[-1] + far[K - 1:, None] * values[0]
+    if K > 1:
+        inner = far[:-1] + near[1:]
+        for c in range(values.shape[1]):
+            out[:, c] += np.convolve(inner, values[1:K, c], "valid")
+    return out
+
+
 def _history_integrals(phi: GridFn, alpha, ts):
     """(1/Gamma(alpha)) * integral over the start segment of the memory kernel
     (t - tau)^(alpha-1) against phi, one value per requested t."""
-    out = np.empty((len(ts), phi.value_shape[0]))
-    for lo in range(0, len(ts), _PSI_CHUNK):
-        w = left_moments_at(alpha, phi.t, ts[lo:lo + _PSI_CHUNK])
-        out[lo:lo + _PSI_CHUNK] = w @ phi.values
-    return out / gamma(alpha)
+    return _moment_sums(alpha, phi, ts, phi.values) / gamma(alpha)
 
 
 def equation_residual(problem, x: GridFn):
@@ -196,13 +248,22 @@ def _psi_defining(phi: GridFn, alpha, ts):
     away = ~at_star
     ts_away = ts[away]
     if ts_away.size:
+        # on the segment's lattice the smooth panels are convolutions and
+        # only the singular panel is summed per entry
+        k = _lattice_start(phi, ts_away)
+        ns = 0 if k is None else (Nh - 1) * SMOOTH_NODES
         chunks = []
         for lo in range(0, ts_away.size, _PSI_CHUNK):
             # the kernel is built in place: one block-sized temporary
-            kern = ts_away[lo:lo + _PSI_CHUNK, None] - pts
-            np.divide(wts, kern, out=kern)
-            chunks.append(kern @ fvals)
-        out[away] = c * np.concatenate(chunks)
+            kern = ts_away[lo:lo + _PSI_CHUNK, None] - pts[ns:]
+            np.divide(wts[ns:], kern, out=kern)
+            chunks.append(kern @ fvals[ns:])
+        vals = np.concatenate(chunks)
+        if ns:
+            data = wts[:ns, None] * fvals[:ns]
+            vals += _smooth_panel_sums(
+                k, hh, ts_away.size, data.reshape(Nh - 1, SMOOTH_NODES, n))
+        out[away] = c * vals
     if at_star.any():
         # kernel power drops by one at the segment end; dedicated rule
         u0, w0 = jacobi_rule_01(SINGULAR_NODES, 0.0, alpha - 1.0)
@@ -212,6 +273,25 @@ def _psi_defining(phi: GridFn, alpha, ts):
             sm = slice(0, (Nh - 1) * SMOOTH_NODES)
             val = val + (wts[sm] / (tstar - pts[sm])) @ fvals[sm]
         out[at_star] = c * val
+    return out
+
+
+def _smooth_panel_sums(k, hh, nt, data):
+    """Smooth-panel part of _psi_defining at targets t_star + (k + r) hh,
+    r = 0..nt-1, on a segment of Nh steps.
+
+    data[i, q] holds the weighted values at the Legendre node u_q of panel
+    i = 0..Nh-2.  That node lies m - u_q steps before the target, with
+    m = Nh + k + r - i, so each node q is one convolution of the kernel
+    1/((m - u_q) hh) with its column of data.
+    """
+    u, _ = jacobi_rule_01(SMOOTH_NODES, 0.0, 0.0)
+    m = k + 2 + np.arange(data.shape[0] + nt - 1, dtype=float)
+    kern = 1.0 / ((m - u[:, None]) * hh)
+    out = np.zeros((nt, data.shape[2]))
+    for q in range(SMOOTH_NODES):
+        for c in range(data.shape[2]):
+            out[:, c] += np.convolve(kern[q], data[:, q, c], "valid")
     return out
 
 
@@ -231,11 +311,9 @@ def _psi_from_history(w_star: GridFn, alpha, ts):
     pref = alpha / gamma(1.0 - alpha)
     at_star = ts - tstar <= 1e-12 * max(tstar - w_star.a, 1.0)
     out[at_star] = dw[-1] / gamma(1.0 - alpha)
-    away = np.flatnonzero(~at_star)
-    for lo in range(0, away.size, _PSI_CHUNK):
-        idx = away[lo:lo + _PSI_CHUNK]
-        wts = hypersingular_tail_weights(alpha, w_star.t, ts[idx])
-        out[idx] = pref * (ts[idx] - tstar)[:, None] ** alpha * (wts @ dw)
+    away = ~at_star
+    out[away] = (pref * (ts[away] - tstar)[:, None] ** alpha
+                 * _moment_sums(-alpha, w_star, ts[away], dw))
     return out
 
 
@@ -313,7 +391,10 @@ def _formula_rows(problem, field, k0, start_vec, g_nodes=None, g_at=None):
 
 def _assemble(problem, xv, method, t_start):
     x = GridFn(problem.t0, problem.theta, xv.shape[0] - 1, xv)
-    meta = {"N": xv.shape[0] - 1, "residual": equation_residual(problem, x),
+    t_res = time.perf_counter()
+    residual = equation_residual(problem, x)
+    meta = {"N": xv.shape[0] - 1, "residual": residual,
+            "residual_s": time.perf_counter() - t_res,
             "wall_time": time.perf_counter() - t_start}
     return Solution(x, method, meta)
 

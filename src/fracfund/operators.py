@@ -105,9 +105,11 @@ def caputo_derivative(x: GridFn, alpha: float) -> GridFn:
     seq = np.arange(N + 1, dtype=float) ** (1.0 - alpha)
     g = seq[1:] - seq[:-1]
     scale = h ** (-alpha) / gamma(2.0 - alpha)
+    # out[k] = scale * sum_{i<k} g[k-1-i] dx[i]: a lower Toeplitz product,
+    # the first N terms of one full convolution per component
     out = np.empty_like(flat)
-    for k in range(1, N + 1):
-        out[k] = scale * (g[k - 1::-1] @ dx[:k])
+    for c in range(flat.shape[1]):
+        out[1:, c] = scale * np.convolve(g, dx[:, c])[:N]
     out[0] = out[1]
     return GridFn(x.a, x.b, N, out.reshape(x.values.shape))
 

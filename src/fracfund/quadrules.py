@@ -151,6 +151,19 @@ def _hat_moments(s, p, h):
     return m0 - m1 / h, m1 / h
 
 
+def lattice_hat_moments(p: float, h: float, D: int, first: int = 0):
+    """Hat weights of the kernel s^(p-1) by lattice distance.
+
+    With nodes h apart and the target t on their lattice, the interval whose
+    far node lies d steps before t gives far[d - first - 1] to that node and
+    near[d - first - 1] to the node one step nearer, for d = first+1..D.
+    These 2 (D - first) numbers are every weight any target on the lattice
+    needs.  Distance 0 is a power only for first = 0, which p <= 0 forbids.
+    """
+    far, near = _hat_moments(h * np.arange(D, first - 1, -1.0), p, h)
+    return far[::-1], near[::-1]
+
+
 @lru_cache(maxsize=1)
 def left_moment_weights(alpha: float, N: int, h: float) -> np.ndarray:
     """Weights W with  sum_j W[k, j] phi_j = int_a^{t_k} (t_k - tau)^(alpha-1) phi_pl(tau) dtau.
@@ -165,8 +178,7 @@ def left_moment_weights(alpha: float, N: int, h: float) -> np.ndarray:
     """
     # W[k, j] depends on k - j alone: the interval at distance d before t_k
     # gives far[d-1] to its far node and near[d-1] to its near node
-    far, near = _hat_moments(h * np.arange(N, -1, -1.0), alpha, h)
-    far, near = far[::-1], near[::-1]
+    far, near = lattice_hat_moments(alpha, h, N)
     W = np.zeros((N + 1, N + 1))
     W[1:, 0] = far
     W[1:, 1:] = _lower_toeplitz(np.concatenate([near[:1], far[:-1] + near[1:]]))

@@ -32,8 +32,9 @@ from fracfund.cauchy import (METHOD_DIRECT, _formula_rows, _psi_defining,
                              _psi_from_history)
 from fracfund.fundamental import _ROWS
 from fracfund.quadrules import (SINGULAR_NODES, first_interval_moments,
-                                hat_moment_tables, jacobi_rule_01,
-                                left_moment_weights)
+                                hat_moment_tables, hypersingular_tail_weights,
+                                jacobi_rule_01, left_moment_weights,
+                                left_moments_at)
 
 # frozen with mpmath (30 digits): modified forcing for the segment
 # w(tau) = tau^0.5 / gamma(1.5) on [0, 0.5], zero base forcing, alpha = 0.5
@@ -110,7 +111,8 @@ def test_solution_csv_and_sidecar(tmp_path):
     assert path.read_text().splitlines()[0] == "t,x_1,x_2"
     side = sol.sidecar()
     assert side["method"] == "direct"
-    assert set(side) >= {"method", "N", "residual", "wall_time"}
+    assert set(side) >= {"method", "N", "residual", "residual_s", "wall_time"}
+    assert 0.0 <= side["residual_s"] <= side["wall_time"]
 
 
 # ------------------------------------------------- continuation functionals
@@ -153,6 +155,56 @@ def test_psi_route_agreement():
     d = _psi_defining(phi, alpha, ts)
     f = _psi_from_history(hist.w_star, alpha, ts)
     assert np.abs(d - f).max() < 1e-4  # measured 4.4e-6
+
+
+def _history_functionals(seg, alpha, ts):
+    return (cauchy._history_integrals(seg, alpha, ts),
+            _psi_from_history(seg, alpha, ts), _psi_defining(seg, alpha, ts))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k0", [1, 2, 3, 77])
+@pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lattice_history_sums_match_per_entry(n, alpha, k0, monkeypatch):
+    # a restart's history on the first k0 steps of the grid, targets t_star +
+    # k h from k = 0.  The step is dyadic, so both paths see the same
+    # distances and differ only in the order of summation; at other steps
+    # the per-entry distances t - tau carry their own rounding, which the
+    # closed form's cancellation at large distances amplifies
+    N = 128
+    t = np.linspace(0.0, 1.0, N + 1)
+    vals = (np.cos(np.outer(t[:k0 + 1], np.arange(1.0, n + 1.0)))
+            + t[:k0 + 1, None] ** alpha)
+    seg, ts = GridFn(0.0, t[k0], k0, vals), t[k0:]
+    assert cauchy._lattice_start(seg, ts) == 0
+    lattice = _history_functionals(seg, alpha, ts)
+    monkeypatch.setattr(cauchy, "_lattice_start", lambda seg, ts: None)
+    for got, want in zip(lattice, _history_functionals(seg, alpha, ts)):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alpha", [0.3, 0.9])
+def test_off_lattice_history_sums_per_entry(alpha):
+    # a history on the N/2 grid against targets on the N grid: every weight
+    # is its own closed form, as before the lattice sums existed
+    N, k0 = 128, 40
+    t = np.linspace(0.0, 1.0, N // 2 + 1)[:k0 // 2 + 1]
+    seg = GridFn(0.0, t[-1], k0 // 2, np.stack([np.cos(t), t ** alpha], 1))
+    ts = np.linspace(t[-1], 1.0, N - k0 + 1)
+    assert cauchy._lattice_start(seg, ts) is None
+    assert cauchy._lattice_start(seg, ts[1:]) is None
+    np.testing.assert_array_equal(
+        cauchy._history_integrals(seg, alpha, ts),
+        left_moments_at(alpha, seg.t, ts) @ seg.values / gamma(alpha))
+    dw = seg.values - seg.values[0]
+    tail = hypersingular_tail_weights(alpha, seg.t, ts[1:]) @ dw
+    psi = _psi_from_history(seg, alpha, ts)
+    np.testing.assert_array_equal(psi[0], dw[-1] / gamma(1.0 - alpha))
+    np.testing.assert_array_equal(
+        psi[1:], alpha / gamma(1.0 - alpha)
+        * (ts[1:] - t[-1])[:, None] ** alpha * tail)
 
 
 def test_psi_star_guards():

@@ -217,6 +217,24 @@ def test_caputo_affine_exact():
     assert out.values[0] == out.values[1]
 
 
+@pytest.mark.parametrize("N", [1, 2, 7, 300])
+def test_caputo_matches_row_loop(N):
+    # reference: the L1 sum as one dot product per target row
+    alpha, a, b = 0.45, 0.2, 1.7
+    t = np.linspace(a, b, N + 1)
+    flat = np.stack([np.sin(3.0 * t), t ** 2, np.exp(-t), t * np.cos(t)], 1)
+    got = caputo_derivative(GridFn(a, b, N, flat.reshape(N + 1, 2, 2)), alpha)
+    dx = np.diff(flat, axis=0)
+    g = np.diff(np.arange(N + 1, dtype=float) ** (1.0 - alpha))
+    scale = ((b - a) / N) ** (-alpha) / gamma(2.0 - alpha)
+    want = np.empty_like(flat)
+    for k in range(1, N + 1):
+        want[k] = scale * (g[k - 1::-1] @ dx[:k])
+    want[0] = want[1]
+    got = got.values.reshape(N + 1, 4)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_caputo_kills_constants():
     x = _grid(0.0, 1.0, 16, lambda t: 7.0 * np.ones_like(t))
     out = caputo_derivative(x, 0.5)
