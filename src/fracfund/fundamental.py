@@ -11,11 +11,13 @@ Hoelder bounds for F are computed from the coefficient's sup norm.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 from dataclasses import dataclass, field as _dcfield
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (DomainError, GridMismatchError, NonConvergenceError,
                      SingularSystemError)
@@ -158,51 +160,78 @@ def _check_grid(problem, grid):
         raise GridMismatchError("grid interval differs from the problem's")
 
 
-# Steps per block of the march: the history terms that reach back before a
-# block come from one GEMM at its start, the rest step by step.
+# Steps per block and per sub-block of the march (see _march).
 _BLOCK = 64
+_SUB = 8
 
 
-def _solve_small(M, R):
-    """Solve M[b] X[b] = R[b] for a batch of small n x n systems.
-
-    Gaussian elimination with partial pivoting, vectorised over the batch and
-    looped over the n pivot columns. The augmented system is held batch-last,
-    so every operation runs over contiguous rows of the batch. Each column
-    takes as pivot its first entry of largest magnitude at or below the
-    diagonal, as LAPACK does; rows are swapped only in the members that need
-    it. np.linalg.solve's error contract holds: an exact zero pivot, or an
-    invalid floating-point operation inside the elimination, raises
-    LinAlgError, and overflow and underflow pass silently.
-    """
-    B, n = M.shape[:2]
-    W = np.empty((n, n + R.shape[-1], B))
-    W[:, :n] = M.transpose(1, 2, 0)
-    W[:, n:] = R.transpose(1, 2, 0)
+@contextlib.contextmanager
+def _elimination_errors():
+    """An invalid floating-point operation raises LinAlgError."""
     with np.errstate(invalid="raise", over="ignore", divide="ignore",
                      under="ignore"):
         try:
-            for c in range(n):
-                size = np.abs(W[c:, c])
-                p, top = np.zeros(B, np.intp), size[0]
-                for r in range(1, n - c):
-                    p[size[r] > top] = r
-                    top = np.maximum(top, size[r])
-                swap = np.flatnonzero(p)
-                if swap.size:
-                    ps = p[swap] + c
-                    W[c, :, swap], W[ps, :, swap] = W[ps, :, swap], W[c, :, swap]
-                piv = W[c, c]
-                if not piv.all():
-                    raise np.linalg.LinAlgError("Singular matrix")
-                W[c + 1:, c + 1:] -= (W[c + 1:, c] / piv)[:, None] * W[c, c + 1:]
-            X = W[:, n:]
-            for c in range(n - 1, -1, -1):
-                X[c] /= W[c, c]
-                X[:c] -= W[:c, c, None] * X[c]
+            yield
         except FloatingPointError:
             raise np.linalg.LinAlgError(
                 "invalid value in the elimination") from None
+
+
+def _factor(LU):
+    """Factor the batch of small n x n systems LU[:, :, b] in place.
+
+    Gaussian elimination with partial pivoting, vectorised over the batch
+    and looped over the n pivot columns. Each column takes as pivot its
+    first entry of largest magnitude at or below the diagonal, as LAPACK
+    does; the multipliers stay below the diagonal. Returns per column the
+    members that swap rows and their pivot rows. np.linalg.solve's error
+    contract holds: an exact zero pivot, or an invalid floating-point
+    operation, raises LinAlgError; overflow and underflow pass silently.
+    """
+    n, B = LU.shape[0], LU.shape[-1]
+    swaps = []
+    with _elimination_errors():
+        for c in range(n):
+            size = np.abs(LU[c:, c])
+            p, top = np.zeros(B, np.intp), size[0]
+            for r in range(1, n - c):
+                p[size[r] > top] = r
+                top = np.maximum(top, size[r])
+            swap = np.flatnonzero(p)
+            rows = p[swap] + c
+            LU[c, :, swap], LU[rows, :, swap] = LU[rows, :, swap], LU[c, :, swap]
+            swaps.append((swap, rows))
+            if not LU[c, c].all():
+                raise np.linalg.LinAlgError("Singular matrix")
+            LU[c + 1:, c] /= LU[c, c]
+            LU[c + 1:, c + 1:] -= LU[c + 1:, c, None] * LU[c, c + 1:]
+    return swaps
+
+
+def _substitute(LU, swaps, X, first=0):
+    """Overwrite X[:, :, b] by the solution of _factor's member first + b:
+    its swaps, forward elimination, then back substitution, with _factor's
+    arithmetic and errors."""
+    n, LU = LU.shape[0], LU[:, :, first:first + X.shape[-1]]
+    with _elimination_errors():
+        for c, (swap, rows) in enumerate(swaps):
+            if swap.size:
+                lo, hi = np.searchsorted(swap, [first, first + X.shape[-1]])
+                s, r = swap[lo:hi] - first, rows[lo:hi]
+                X[c, :, s], X[r, :, s] = X[r, :, s], X[c, :, s]
+        for c in range(n - 1):
+            X[c + 1:] -= LU[c + 1:, c, None] * X[c]
+        for c in range(n - 1, -1, -1):
+            X[c] /= LU[c, c]
+            if c:
+                X[:c] -= LU[:c, c, None] * X[c]
+
+
+def _solve_small(M, R):
+    """Solve M[b] X[b] = R[b] for a batch of small n x n systems: _factor,
+    then _substitute, on batch-last copies."""
+    LU, X = M.transpose(1, 2, 0).copy(), R.transpose(1, 2, 0).copy()
+    _substitute(LU, _factor(LU), X)
     return np.ascontiguousarray(X.transpose(2, 0, 1))
 
 
@@ -215,52 +244,88 @@ def _march(Anodes, alpha, grid):
         (I - c_k w_k[k] A_{j+k}) F_{j+k,j}
             = Id/Gamma(alpha) + c_k sum_{m<k} w_k[m] A_{j+m} F_{j+m,j}.
 
-    In the block of steps from k0 on, the terms m < k0 come from one GEMM of
-    the block's weight rows against AF[:k0]; only k0 <= m < k are summed
-    step by step. The entries (j + k, j) of a step lie at the flat plane
-    positions k (N+1) + j (N+2), so each step writes them through one
-    strided slice.
+    The state is batch-last: AF[m, a, b, j] is entry (a, b) of
+    A_{j+m} F_{j+m,j}. Before step m, row m of AF gathers its right-hand
+    side; the step solves for F there, writes F to the planes and replaces
+    it by A F. In the block of steps from k0 on, the terms m < k0 come from
+    one GEMM per component at its start; in its sub-block from s0 on, whose
+    systems are factored together first, the terms k0 <= m < s0 come from
+    one GEMM per component; only s0 <= m < k are summed step by step. Row m
+    keeps partial sums past its last column, N - m; they only reach
+    columns that no later step reads. Each step writes its entries
+    (j + k, j), at the flat plane positions k (N+1) + j (N+2), through one
+    strided view.
     """
     t_start = time.perf_counter()
     N, h, n = grid.N, grid.h, Anodes.shape[-1]
     tables = hat_moment_tables(N, alpha - 1.0, alpha - 1.0)
     t_tables = time.perf_counter()
     ga = gamma(alpha)
-    eye = np.eye(n)
-    diag = eye / ga
     ck = (np.arange(N + 1) * h) ** alpha / ga
+    selfw = ck * np.diagonal(tables)
+    singular = "self-weight system singular at step {}; refine N"
 
     planes = np.full((n, n, N + 1, N + 1), np.nan)
-    pflat = planes.reshape(n * n, (N + 1) ** 2)
-    pflat[:, ::N + 2] = diag.reshape(n * n, 1)
-    AF = np.empty((N + 1, N + 1, n, n))  # AF[m, j] = A_{j+m} F_{j+m,j}
-    AF[0] = Anodes / ga
-    solves_s = 0.0
+    pflat = planes.reshape(n, n, (N + 1) ** 2)
+    pflat[:, :, ::N + 2] = np.eye(n)[:, :, None] / ga
+    Ab = np.zeros((n, n, N + _SUB))  # zeros past node N: those systems are I
+    Ab[:, :, :N + 1] = Anodes.transpose(1, 2, 0)
+    AF = np.zeros((N + 1, n, n, N + 1))
+    AF[0] = Ab[:, :, :N + 1] / ga
+    LU = np.empty(_SUB * n * n * N)
 
+    def systems(s0, s1, width):
+        """Steps s0..s1-1's systems, member j of step s0 + q at q width + j."""
+        lu = LU[:n * n * (s1 - s0) * width].reshape(n, n, s1 - s0, width)
+        window = sliding_window_view(Ab, width, axis=-1)[:, :, s0:s1]
+        np.multiply(-selfw[s0:s1, None], window, out=lu)
+        lu.reshape(n * n, -1)[::n + 1] += 1.0
+        return lu.reshape(n, n, -1)
+
+    factor_s = solves_s = 0.0
     for k0 in range(1, N + 1, _BLOCK):
-        k1 = min(k0 + _BLOCK, N + 1)
-        live = N - k0 + 1
-        far = (tables[k0:k1, :k0] @ AF[:k0, :live].reshape(k0, -1)
-               ).reshape(k1 - k0, live, n, n)
-        for k in range(k0, k1):
-            cols = N - k + 1
-            near = np.einsum("m,mjab->jab", tables[k, k0:k], AF[k0:k, :cols],
-                             optimize=False)
-            rhs = diag + ck[k] * (far[k - k0, :cols] + near)
-            sys = eye - (ck[k] * tables[k, k]) * Anodes[k:]
-            t_solve = time.perf_counter()
+        k1, live = min(k0 + _BLOCK, N + 1), N + 1 - k0
+        T = ck[k0:k1, None] * tables[k0:k1, k0:k1]
+        for s0 in range(k0, k1, _SUB):
+            s1, width = min(s0 + _SUB, k1), N + 1 - s0
+            rows = slice(s0 - k0, s1 - k0)
+            t_factor = time.perf_counter()
+            lu = systems(s0, s1, width)
             try:
-                Fk = _solve_small(sys, rhs)
+                swaps = _factor(lu)
             except np.linalg.LinAlgError:
-                raise SingularSystemError(
-                    f"self-weight system singular at step {k}; refine N") from None
-            solves_s += time.perf_counter() - t_solve
-            pflat[:, k * (N + 1)::N + 2][:, :cols] = Fk.reshape(cols, n * n).T
-            AF[k, :cols] = Anodes[k:] @ Fk
+                for k in range(s0, s1):  # name the first step that fails alone
+                    try:
+                        _factor(systems(k, k + 1, N + 1 - k))
+                    except np.linalg.LinAlgError:
+                        break
+                raise SingularSystemError(singular.format(k)) from None
+            factor_s += time.perf_counter() - t_factor
+            for a, b in np.ndindex(n, n):
+                if s0 == k0:  # Id/Gamma(alpha) and the block's far sums
+                    np.matmul(tables[k0:k1, :k0], AF[:k0, a, b, :live],
+                              out=AF[k0:k1, a, b, :live])
+                    AF[k0:k1, a, b, :live] *= ck[k0:k1, None]
+                    AF[k0:k1, a, b, :live] += (a == b) / ga
+                AF[s0:s1, a, b, :live] += T[rows, :s0 - k0] @ AF[k0:s0, a, b, :live]
+            for k in range(s0, s1):
+                i, cols = k - k0, N + 1 - k
+                X = AF[k, :, :, :cols]
+                if k > s0:
+                    X += np.matmul(T[i, s0 - k0:i],
+                                   AF[s0:k, :, :, :cols].transpose(1, 2, 0, 3))
+                t_solve = time.perf_counter()
+                try:
+                    _substitute(lu, swaps, X, (k - s0) * width)
+                except np.linalg.LinAlgError:
+                    raise SingularSystemError(singular.format(k)) from None
+                solves_s += time.perf_counter() - t_solve
+                pflat[:, :, k * (N + 1)::N + 2][:, :, :cols] = X
+                np.einsum("acj,cbj->abj", Ab[:, :, k:N + 1], X.copy(), out=X)
 
     t_end = time.perf_counter()
     return planes, {"tables_s": t_tables - t_start, "march_s": t_end - t_tables,
-                    "solves_s": solves_s}
+                    "factor_s": factor_s, "solves_s": solves_s}
 
 
 def solve_F(problem: CauchyProblem, grid: TriangleGrid) -> FundamentalField:
@@ -268,13 +333,15 @@ def solve_F(problem: CauchyProblem, grid: TriangleGrid) -> FundamentalField:
 
     Column j marches upward from the diagonal. At step count k the unknown
     node appears inside its own moment weight, so each step solves a small
-    n x n system; the systems of all columns at one step are solved together
-    by one batched pivoted elimination. The steps run in blocks of 64: the
-    history terms that reach back before a block are one BLAS GEMM at the
-    block's start, over every step of the block and every column; the terms
-    inside the block are summed step by step. meta records the time spent on
-    the hat-moment tables (tables_s), on the march (march_s) and, within the
-    march, on the small solves (solves_s).
+    n x n system for every column. These systems do not depend on the field:
+    those of 8 steps are factored together by one batched pivoted
+    elimination, and each step then only substitutes. The steps run in
+    blocks of 64: the history terms that reach back before a block are one
+    BLAS GEMM per matrix entry at the block's start, those that reach back
+    before an 8-step sub-block one more, and the rest are summed step by
+    step. meta records the time spent on the hat-moment tables (tables_s),
+    on the march (march_s) and, within the march, on the factorisations
+    (factor_s) and the substitutions (solves_s).
     """
     _check_grid(problem, grid)
     t_start = time.perf_counter()
@@ -311,13 +378,9 @@ def solve_F_picard(problem: CauchyProblem, grid: TriangleGrid,
 
     # diagonal-major iterate: cur[k, j] ~ F(t_{j+k}, t_j), valid for j <= N-k
     cur = np.broadcast_to(diag, (N + 1, N + 1, n, n)).copy()
+    # Hankel view: A_shift[m, j] = A at node m+j for m+j <= N, zeros beyond
     Apad = np.concatenate([Anodes, np.zeros((N, n, n))])
-    s0, s1, s2 = Apad.strides
-    # Hankel view into the padded buffer: A_shift[m, j] = A at node m+j for
-    # m+j <= N, zeros beyond; keeps every strided read in-bounds
-    A_shift = np.lib.stride_tricks.as_strided(
-        Apad, shape=(N + 1, N + 1, n, n), strides=(s0, s0, s1, s2),
-        writeable=False)
+    A_shift = sliding_window_view(Apad, N + 1, axis=0).transpose(0, 3, 1, 2)
 
     # an entry with j <= N-k reads only such entries; the rest are never
     # read by them and are masked out of the norm

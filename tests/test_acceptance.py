@@ -7,7 +7,6 @@ bound suite, the special-function reductions, and the degenerate cases.
 """
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -61,15 +60,7 @@ def rotation_problem():
 
 @pytest.fixture(scope="module")
 def rotation_field_1024(rotation_problem):
-    saved = os.environ.get("FRACFUND_THREADS")
-    os.environ["FRACFUND_THREADS"] = "1"
-    try:
-        return solve_F(rotation_problem, TriangleGrid(0.0, 1.0, 1024))
-    finally:
-        if saved is None:
-            os.environ.pop("FRACFUND_THREADS", None)
-        else:
-            os.environ["FRACFUND_THREADS"] = saved
+    return solve_F(rotation_problem, TriangleGrid(0.0, 1.0, 1024))
 
 
 @pytest.fixture(scope="module")

@@ -113,18 +113,15 @@ def test_duality_cross_check():
     assert np.nanmax(np.abs(F.values - G.values)) < 5e-3  # measured 1.2e-3
 
 
-def test_thread_count_is_invisible(monkeypatch):
+def test_march_is_repeatable():
+    # two runs in one process give the same bytes (the last bits may still
+    # depend on the BLAS thread count, which is fixed within a process)
     A = Coefficient.cosine(np.array([[0.2, 1.0], [-1.0, 0.1]]), 3.0)
     p = _ivp(A)
-    g = TriangleGrid(0.0, 1.0, 64)
-    monkeypatch.setenv("FRACFUND_THREADS", "1")
-    F1 = solve_F(p, g)
-    G1 = solve_G_dual(p, g)
-    monkeypatch.setenv("FRACFUND_THREADS", "4")
-    F4 = solve_F(p, g)
-    G4 = solve_G_dual(p, g)
-    assert np.array_equal(F1.values, F4.values, equal_nan=True)
-    assert np.array_equal(G1.values, G4.values, equal_nan=True)
+    g = TriangleGrid(0.0, 1.0, 200)
+    for solve in (solve_F, solve_G_dual):
+        first, second = solve(p, g).planes, solve(p, g).planes
+        assert first.tobytes() == second.tobytes()
 
 
 def _reference_F(problem, grid):
@@ -209,10 +206,48 @@ def test_singular_self_weight_system():
         a = np.nextafter(a, np.inf if x * a < 1.0 else -np.inf)
     assert 1.0 - x * a == 0.0
     p = _ivp(Coefficient.constant([[a, 0.0], [0.0, 0.0]]), alpha=alpha)
-    with pytest.raises(SingularSystemError):
+    with pytest.raises(SingularSystemError, match="at step 1;"):
         solve_F(p, g)
-    with pytest.raises(SingularSystemError):
+    with pytest.raises(SingularSystemError, match="at step 1;"):
         solve_G_dual(p, g)
+
+
+def test_singular_system_inside_a_sub_block_names_its_step():
+    # as above, but only the step-11 systems are singular: the systems of
+    # steps 9-16 are factored together, and the error names step 11
+    alpha, N, k = 0.5, 40, 11
+    g = TriangleGrid(0.0, 1.0, N)
+    ck = ((np.arange(N + 1) * g.h) ** alpha / gamma(alpha))[k]
+    x = ck * hat_moment_tables(N, alpha - 1.0, alpha - 1.0)[k][k]
+    a = 1.0 / x
+    while 1.0 - x * a != 0.0:
+        a = np.nextafter(a, np.inf if x * a < 1.0 else -np.inf)
+    p = _ivp(Coefficient.constant([[a, 0.0], [0.0, 0.0]]), alpha=alpha)
+    for solve in (solve_F, solve_G_dual):
+        with pytest.raises(SingularSystemError, match=f"at step {k};"):
+            solve(p, g)
+
+
+@pytest.mark.parametrize("N", [65, 130])
+def test_march_with_row_swaps_matches_unblocked(N):
+    # a large lower-left entry makes many self-weight systems pivot on their
+    # second row (1195 and 4200 members at N = 65 and 130)
+    A0 = np.array([[0.2, 1.0], [-8.0, 0.1]])
+    A1 = np.array([[-0.4, 0.3], [0.5, 0.6]])
+    A = Coefficient(2, lambda t: (np.cos(3.0 * t)[:, None, None] * A0
+                                  + t[:, None, None] * A1))
+    alpha = 0.3
+    p = CauchyProblem.from_initial_value(alpha, 0.2, 1.7, A, Forcing.zero(2),
+                                         np.ones(2))
+    g = TriangleGrid(0.2, 1.7, N)
+    c1 = (g.h ** alpha / gamma(alpha)
+          * hat_moment_tables(N, alpha - 1.0, alpha - 1.0)[1, 1])
+    step1 = np.eye(2) - c1 * A.at(g.t)[1:]
+    assert (np.abs(step1[:, 1, 0]) > np.abs(step1[:, 0, 0])).sum() > 10
+    for got, ref in ((solve_F(p, g).values, _reference_F(p, g)),
+                     (solve_G_dual(p, g).values, _reference_G(p, g))):
+        assert np.array_equal(np.isnan(got), np.isnan(ref))
+        assert np.nanmax(np.abs(got - ref)) <= 1e-14 * np.nanmax(np.abs(ref))
 
 
 def _permuted_batch(rng, B, n, m):
@@ -324,6 +359,8 @@ def test_meta_contents():
         assert meta["tables_s"] >= 0.0 and meta["march_s"] >= 0.0
         assert meta["tables_s"] + meta["march_s"] <= meta["wall_time"]
         assert 0.0 <= meta["solves_s"] <= meta["march_s"]
+        assert 0.0 <= meta["factor_s"] <= meta["march_s"]
+        assert meta["factor_s"] + meta["solves_s"] <= meta["march_s"]
 
 
 # ------------------------------------------------------------------- bounds
