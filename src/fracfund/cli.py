@@ -1,7 +1,8 @@
 """Batch front end: JSON configs in, CSV results and JSON reports out.
 
 Exit codes are part of the contract: 0 success, 1 verification failure,
-2 config error, 3 numerical error, 4 method precondition violated.
+2 config error, 3 numerical error, 4 method precondition violated. A
+failed write, such as a field CSV export whose formatting fails, exits 2.
 """
 
 import argparse
@@ -9,6 +10,7 @@ import json
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -174,8 +176,11 @@ def cmd_fundamental(args):
                                tol=float(tolerances.get("picard_tol", 1e-10)))
     else:
         field = solve_F(problem, grid)
-    field.write_csv(args.out)
-    _write_sidecar(args.out, {"alpha": problem.alpha, **field.meta})
+    start = time.perf_counter()
+    procs = field.write_csv(args.out)
+    export = {"write_s": time.perf_counter() - start, "write_procs": procs,
+              "csv_bytes": os.path.getsize(args.out)}
+    _write_sidecar(args.out, {"alpha": problem.alpha, **field.meta, **export})
     return EXIT_OK
 
 

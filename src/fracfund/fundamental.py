@@ -87,27 +87,21 @@ class FundamentalField:
 
     def write_csv(self, path):
         """Write the triangle j <= i, row-major, one line t_i,t_j,F_ij per
-        pair; the lines are gathered from the field a block at a time. The
+        pair, by write_table on every CPU; returns its process count. The
         N+1 grid times are formatted once and reused on every line."""
         N, n = self.grid.N, self.n
         times = np.array(["%.17g" % v for v in self.grid.t.tolist()],
                          dtype=object)
         flat = self.planes.reshape(n * n, N + 1, N + 1)
-        ends = np.cumsum(np.arange(1, N + 2))  # pairs in rows 0..i
+        pairs = np.tril_indices(N + 1)  # (i, j), j <= i, row-major
 
         def rows(q0, q1):
-            q = np.arange(q0, q1)
-            i = np.searchsorted(ends, q, side="right")
-            j = q - ends[i] + i + 1
-            block = np.empty((q1 - q0, 2 + n * n), dtype=object)
-            block[:, 0] = times[i]
-            block[:, 1] = times[j]
-            block[:, 2:] = flat[:, i, j].T
-            return block
+            i, j = pairs[0][q0:q1], pairs[1][q0:q1]
+            return np.column_stack([times[i], times[j], flat[:, i, j].T])
 
         names = ",".join(f"F_{r+1}{c+1}" for r in range(n) for c in range(n))
-        write_table(path, "t,s," + names, int(ends[-1]), rows,
-                    ["%s", "%s"] + ["%.17g"] * (n * n))
+        return write_table(path, "t,s," + names, len(pairs[0]), rows,
+                           ["%s", "%s"] + ["%.17g"] * (n * n))
 
 
 def z_value(field: FundamentalField, i, j):

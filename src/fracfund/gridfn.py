@@ -7,6 +7,7 @@ contract is what makes the product-integration moments exact for affine
 data.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,9 +86,26 @@ class GridFn:
 
 # rows formatted by one % each time the CSV writer formats
 _CSV_ROWS = 4096
+# fewest blocks of _CSV_ROWS rows worth a process of their own
+_PROC_BLOCKS = 4
 
 
-def write_table(path, header, nrows, rows, formats=None) -> None:
+def _csv_procs(nblocks) -> int:
+    """One process per usable CPU, each with _PROC_BLOCKS blocks or more."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), nblocks // _PROC_BLOCKS))
+
+
+def _format_rows(fh, rows, r0, r1, formats) -> None:
+    for q0 in range(r0, r1, _CSV_ROWS):
+        block = rows(q0, min(q0 + _CSV_ROWS, r1))
+        row = ",".join(formats or ["%.17g"] * block.shape[1]) + "\n"
+        fh.write(row * len(block) % tuple(block.ravel().tolist()))
+    fh.flush()  # a child's part must be written before its os._exit
+
+
+def write_table(path, header, nrows, rows, formats=None) -> int:
     """Write a CSV: the header line, then nrows rows of floats.
 
     rows(r0, r1) returns rows r0..r1-1 as a 2-D array; it is asked for
@@ -96,13 +114,52 @@ def write_table(path, header, nrows, rows, formats=None) -> None:
     so reloading reproduces the doubles exactly; the bytes are those of
     np.savetxt(fmt="%.17g", delimiter=","). formats gives one format per
     column instead, e.g. %s for a column of values formatted beforehand.
+
+    The rows are cut at block edges into one range per process (_csv_procs,
+    returned); forked children format all but the first into temporary
+    files, appended in order, so the bytes do not depend on the count. A
+    failure leaves no child or partial file; a failed child raises OSError.
     """
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(header + "\n")
-        for r0 in range(0, nrows, _CSV_ROWS):
-            block = rows(r0, min(r0 + _CSV_ROWS, nrows))
-            row = ",".join(formats or ["%.17g"] * block.shape[1]) + "\n"
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+    nblocks = -(-nrows // _CSV_ROWS)
+    procs = _csv_procs(nblocks)
+    cuts = [nblocks * p // procs * _CSV_ROWS for p in range(procs)] + [nrows]
+    parts, pids, fh = [], [], None
+    try:
+        for r0, r1 in zip(cuts[1:-1], cuts[2:]):
+            import shutil  # only a parallel export loads these
+            import tempfile
+            parts.append(tempfile.TemporaryFile("w+", encoding="ascii", newline=""))
+            pids.append(os.fork())  # before the output is opened
+            if pids[-1] == 0:  # the child leaves through os._exit only
+                try:
+                    _format_rows(parts[-1], rows, r0, r1, formats)
+                    os._exit(0)
+                except BaseException as err:
+                    os.write(2, f"CSV rows {r0}..{r1 - 1}: {err!r}\n".encode())
+                finally:
+                    os._exit(1)
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(header + "\n")
+            _format_rows(fh, rows, 0, cuts[1], formats)
+            for part, r0, r1 in zip(parts, cuts[1:], cuts[2:]):
+                code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+                del pids[0]
+                if code:
+                    raise OSError(f"formatting CSV rows {r0}..{r1 - 1} failed"
+                                  f" with exit code {code}")
+                part.seek(0)
+                shutil.copyfileobj(part, fh)
+    except BaseException:
+        if fh is not None:
+            os.remove(path)
+        raise
+    finally:
+        for pid in pids:  # only a failure leaves one running
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+        for part in parts:
+            part.close()
+    return procs
 
 
 def write_csv(fn: GridFn, path, label="v") -> None:

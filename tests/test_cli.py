@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import fracfund
-from fracfund import GridFn, checks, cli, gamma, read_csv, special, write_csv
+from fracfund import (GridFn, checks, cli, gamma, gridfn, read_csv, special,
+                      write_csv)
 from fracfund.cli import main
 from fracfund.quadrules import jacobi_rule_01
 
@@ -274,6 +275,29 @@ def test_fundamental_zero_coefficient(tmp_path):
     assert side["alpha"] == 0.5 and side["method"] == "march"
     assert 0.0 <= side["factor_s"] <= side["march_s"]
     assert 0.0 <= side["solves_s"] <= side["march_s"]
+    assert side["write_s"] >= 0.0 and side["write_procs"] >= 1
+    assert side["csv_bytes"] == out.stat().st_size
+
+
+def test_failed_field_export_exits_2(tmp_path, monkeypatch, capsys):
+    # a forked child formats the rows from 24 on, and fails
+    parent, format_rows = os.getpid(), gridfn._format_rows
+
+    def failing(fh, rows, r0, r1, formats):
+        if os.getpid() != parent:
+            raise ValueError("formatting failed in the child")
+        format_rows(fh, rows, r0, r1, formats)
+
+    monkeypatch.setattr(gridfn, "_CSV_ROWS", 8)
+    monkeypatch.setattr(gridfn, "_csv_procs", lambda nblocks: 2)
+    monkeypatch.setattr(gridfn, "_format_rows", failing)
+    cfg = _write_config(tmp_path, grid_N=8)
+    out = tmp_path / "field.csv"
+    assert main(["fundamental", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "formatting CSV rows 24..44 failed" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_fundamental_csv_is_repeatable(tmp_path):

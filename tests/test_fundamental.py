@@ -1,6 +1,9 @@
 """Fundamental field solvers: march, fixed point, dual march, a-priori bounds."""
 
 import math
+import multiprocessing
+import os
+import tempfile
 import warnings
 
 import numpy as np
@@ -22,6 +25,7 @@ from fracfund import (
     solve_G_dual,
     z_value,
 )
+from fracfund import gridfn
 from fracfund.fundamental import _solve_small
 from fracfund.operators import op_constants
 from fracfund.oracle import constant_coeff_F
@@ -334,6 +338,103 @@ def test_field_csv_spans_blocks(tmp_path):
         ",".join("%.17g" % v for v in (t[i], t[j], *F.values[i, j].ravel()))
         + "\n" for i in range(N + 1) for j in range(i + 1))
     assert path.read_bytes() == want.encode("ascii")
+
+
+def _csv_reference(F):
+    # the per-value %.17g bytes of test_field_csv_spans_blocks
+    t, N = F.grid.t, F.grid.N
+    return ("t,s,F_11,F_12,F_21,F_22\n" + "".join(
+        ",".join("%.17g" % v for v in (t[i], t[j], *F.values[i, j].ravel()))
+        + "\n" for i in range(N + 1) for j in range(i + 1))).encode("ascii")
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("procs", [1, 2, 3])
+def test_field_csv_same_bytes_on_any_process_count(tmp_path, monkeypatch,
+                                                   procs):
+    # 5151 lines in 21 blocks of 256; the cuts sit at lines 1792, 2560, 3584
+    monkeypatch.setattr(gridfn, "_CSV_ROWS", 256)
+    monkeypatch.setattr(gridfn, "_csv_procs", lambda nblocks: procs)
+    F = solve_F(_ivp(Coefficient.rotation()), TriangleGrid(0.0, 1.0, 100))
+    i, j = np.tril_indices(101)
+    for cut in (1792, 2560, 3584):
+        F.values[i[cut - 1], j[cut - 1], 0, 1] = -0.0
+        F.values[i[cut], j[cut], 1, 0] = 5e-324
+        F.values[i[cut], j[cut], 1, 1] = -0.0
+        F.values[i[cut - 1], j[cut - 1], 0, 0] = 5e-324
+    path = tmp_path / "field.csv"
+    assert F.write_csv(path) == procs
+    assert path.read_bytes() == _csv_reference(F)
+    _no_child_left()
+
+
+def test_csv_process_count_follows_the_affinity_mask():
+    cpus = len(os.sched_getaffinity(0))
+    assert gridfn._csv_procs(0) == 1
+    assert gridfn._csv_procs(2 * gridfn._PROC_BLOCKS - 1) == 1
+    assert gridfn._csv_procs(10 ** 6) == cpus
+
+
+def test_failed_csv_child_leaves_nothing(tmp_path, monkeypatch):
+    # the child formatting rows 64.. raises; the parent's own rows do not
+    monkeypatch.setattr(gridfn, "_CSV_ROWS", 8)
+    monkeypatch.setattr(gridfn, "_csv_procs", lambda nblocks: 2)
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    table = np.arange(256.0).reshape(128, 2)
+
+    def rows(r0, r1):
+        if r0 >= 64:
+            raise ValueError("no rows here")
+        return table[r0:r1]
+
+    path = tmp_path / "table.csv"
+    with pytest.raises(OSError, match="rows 64..127"):
+        gridfn.write_table(path, "a,b", 128, rows)
+    assert not path.exists()
+    assert not any(scratch.iterdir())
+    _no_child_left()
+
+
+def test_failed_csv_parent_stops_its_children(tmp_path, monkeypatch):
+    # the parent's own rows raise; its child must not outlive the call
+    monkeypatch.setattr(gridfn, "_CSV_ROWS", 8)
+    monkeypatch.setattr(gridfn, "_csv_procs", lambda nblocks: 2)
+    table = np.arange(256.0).reshape(128, 2)
+
+    def rows(r0, r1):
+        if r0 < 64:
+            raise ValueError("no rows here")
+        return table[r0:r1]
+
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError, match="no rows here"):
+        gridfn.write_table(path, "a,b", 128, rows)
+    assert not path.exists()
+    _no_child_left()
+
+
+def test_parallel_csv_from_a_daemonic_worker(tmp_path, monkeypatch):
+    # a pool worker is daemonic, and multiprocessing refuses it children of
+    # its own; the writer's forked children must not depend on that
+    monkeypatch.setattr(gridfn, "_CSV_ROWS", 8)
+    monkeypatch.setattr(gridfn, "_csv_procs", lambda nblocks: 2)
+    table = np.arange(256.0).reshape(128, 2)
+    path = tmp_path / "table.csv"
+    worker = multiprocessing.get_context("fork").Process(
+        target=gridfn.write_table, daemon=True,
+        args=(path, "a,b", 128, lambda r0, r1: table[r0:r1]))
+    worker.start()
+    worker.join(timeout=60)
+    assert worker.exitcode == 0
+    assert path.read_text() == "a,b\n" + "".join(
+        "%.17g,%.17g\n" % tuple(row) for row in table)
+    _no_child_left()
 
 
 def test_grid_interval_must_match():
