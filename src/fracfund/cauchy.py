@@ -1,8 +1,9 @@
 """Cauchy problems with an intermediate start segment.
 
 The solution is prescribed on [t0, t_star] and continued to (t_star, theta].
-Four routes produce it: a direct implicit march of the equivalent integral
-equation, and three representation formulas driven by the fundamental field.
+Four routes produce it: a direct march of the equivalent integral equation,
+which is the field's march with one column, and three representation
+formulas driven by the fundamental field.
 The history enters the formulas through the continuation functional psi and
 the modified forcing b_star; psi's difference against its value at t_star is
 alpha-Hoelder at t_star, so the first subinterval of every memory integral is
@@ -33,9 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, GridMismatchError, PreconditionError,
-                     SingularSystemError)
-from .fundamental import FundamentalField, _check_grid, _field_rows
+from .errors import DomainError, GridMismatchError, PreconditionError
+from .fundamental import FundamentalField, _check_grid, _field_rows, _march
 from .gridfn import GridFn
 from .problem import CauchyProblem
 from .quadrules import (SINGULAR_NODES, SMOOTH_NODES, first_interval_moments,
@@ -173,43 +173,37 @@ def equation_residual(problem, x: GridFn):
 def solve_direct(problem: CauchyProblem, N: int) -> Solution:
     """Implicit product-integration march of the equivalent integral equation.
 
-    The history contributes a fixed per-node vector (its Caputo density
-    integrated against the memory kernel); the unknown part marches from
-    t_star with an n x n solve per step, mirroring the field march.
+    The field's march, fundamental._march, with one column from t_star: T is
+    the left-moment table W, c_k = 1/Gamma(alpha), and R_k gathers w0, the
+    history's memory integral (of its Caputo density) and the forcing's,
+    (W b)_k/Gamma(alpha). meta records the time spent on the factorisations
+    (factor_s) and the substitutions (solves_s).
     """
     if N < 1:
         raise DomainError("need N >= 1")
     t_start = time.perf_counter()
     alpha, n = problem.alpha, problem.n
     t = np.linspace(problem.t0, problem.theta, N + 1)
-    h = (problem.theta - problem.t0) / N
     k0 = _star_index(problem, N)
     phi = problem.history.caputo_samples(alpha)
     hist = _history_integrals(phi, alpha, t[k0 + 1:])
-    w0 = problem.w0
-    Anodes = problem.A.at(t)
-    bnodes = problem.b.at(t)
+    Anodes = problem.A.at(t[k0:])
     ga = gamma(alpha)
-    eye = np.eye(n)
     M = N - k0
-    W = left_moment_weights(alpha, N, h)
+    W = left_moment_weights(alpha, N, (problem.theta - problem.t0) / N)
 
     xv = np.empty((N + 1, n))
     xv[:k0 + 1] = _prefix_values(problem, t, k0)
-    v = np.empty((M + 1, n))
-    v[0] = Anodes[k0] @ xv[k0] + bnodes[k0]
-    for k in range(1, M + 1):
-        i = k0 + k
-        rhs = w0 + hist[k - 1] + (W[k, :k] @ v[:k] + W[k, k] * bnodes[i]) / ga
-        sys = eye - (W[k, k] / ga) * Anodes[i]
-        try:
-            xv[i] = np.linalg.solve(sys, rhs)
-        except np.linalg.LinAlgError:
-            raise SingularSystemError(
-                f"self-weight system singular at step {k}; refine N") from None
-        v[k] = Anodes[i] @ xv[i] + bnodes[i]
+    rhs = np.zeros((M + 1, n, 1))
+    rhs[1:, :, 0] = (problem.w0 + hist
+                     + (W[1:M + 1, :M + 1] @ problem.b.at(t[k0:])) / ga)
 
-    return _assemble(problem, xv, METHOD_DIRECT, t_start)
+    def store(k, X):
+        xv[k0 + k] = X[:, 0, 0]
+
+    phases = _march(Anodes, W, np.full(M + 1, 1.0 / ga), rhs,
+                    (Anodes[0] @ xv[k0])[:, None, None], store)
+    return _assemble(problem, xv, METHOD_DIRECT, t_start, **phases)
 
 
 def _psi_defining(phi: GridFn, alpha, ts):
@@ -389,11 +383,11 @@ def _formula_rows(problem, field, k0, start_vec, g_nodes=None, g_at=None):
     return start_vec + _field_rows(field, k0, terms, head)
 
 
-def _assemble(problem, xv, method, t_start):
+def _assemble(problem, xv, method, t_start, **phases):
     x = GridFn(problem.t0, problem.theta, xv.shape[0] - 1, xv)
     t_res = time.perf_counter()
     residual = equation_residual(problem, x)
-    meta = {"N": xv.shape[0] - 1, "residual": residual,
+    meta = {"N": xv.shape[0] - 1, **phases, "residual": residual,
             "residual_s": time.perf_counter() - t_res,
             "wall_time": time.perf_counter() - t_start}
     return Solution(x, method, meta)

@@ -1,12 +1,13 @@
 """Fundamental matrix field on the triangle t >= s.
 
 The field F solves a weakly singular matrix Volterra equation whose value on
-the diagonal is Id/Gamma(alpha). Three routes are provided: an implicit
-product-integration march (production path), a fixed-point iteration under an
-exponentially weighted norm (cross-check), and a mirrored march for the dual
-field G that multiplies the coefficient from the right, which is the same
-march run on the mirrored, transposed coefficient. A-priori sup and
-Hoelder bounds for F are computed from the coefficient's sup norm.
+the diagonal is Id/Gamma(alpha). One implicit product-integration march,
+_march, solves it column by column (production path). The dual field G, whose
+equation multiplies the coefficient from the right, is the same march on the
+mirrored, transposed coefficient, and cauchy.solve_direct is the same march
+with one column. A fixed-point iteration under an exponentially weighted norm
+is kept as a cross-check. A-priori sup and Hoelder bounds for F are computed
+from the coefficient's sup norm.
 """
 
 from __future__ import annotations
@@ -221,52 +222,38 @@ def _substitute(LU, swaps, X, first=0):
                 X[:c] -= LU[:c, c, None] * X[c]
 
 
-def _solve_small(M, R):
-    """Solve M[b] X[b] = R[b] for a batch of small n x n systems: _factor,
-    then _substitute, on batch-last copies."""
-    LU, X = M.transpose(1, 2, 0).copy(), R.transpose(1, 2, 0).copy()
-    _substitute(LU, _factor(LU), X)
-    return np.ascontiguousarray(X.transpose(2, 0, 1))
+def _march(Anodes, tables, c, rhs, AX0, store):
+    """March the product-integration Volterra equation over K = len(c) - 1
+    steps; returns the seconds spent factoring (factor_s) and substituting
+    (solves_s).
 
+    Column j of the unknown X lives while j + k <= K. Its step k solves
 
-def _march(Anodes, alpha, grid):
-    """solve_F's march on the coefficient samples Anodes.
+        (I - c_k T[k, k] A_{j+k}) X_{k,j}
+            = R_k + c_k sum_{m<k} T[k, m] A_{j+m} X_{m,j}
 
-    Returns the field's component planes and the phase times. Step
-    k of column j solves, for F_{j+k,j},
-
-        (I - c_k w_k[k] A_{j+k}) F_{j+k,j}
-            = Id/Gamma(alpha) + c_k sum_{m<k} w_k[m] A_{j+m} F_{j+m,j}.
-
-    The state is batch-last: AF[m, a, b, j] is entry (a, b) of
-    A_{j+m} F_{j+m,j}. Before step m, row m of AF gathers its right-hand
-    side; the step solves for F there, writes F to the planes and replaces
-    it by A F. In the block of steps from k0 on, the terms m < k0 come from
-    one GEMM per component at its start; in its sub-block from s0 on, whose
-    systems are factored together first, the terms k0 <= m < s0 come from
-    one GEMM per component; only s0 <= m < k are summed step by step. Row m
-    keeps partial sums past its last column, N - m; they only reach
-    columns that no later step reads. Each step writes its entries
-    (j + k, j), at the flat plane positions k (N+1) + j (N+2), through one
-    strided view.
+    for the n x p block X_{k,j}, given Anodes[i] = A_i, the rows of tables
+    T, rhs[k] = R_k and AX0[:, :, j] = A_j X_{0,j}; store(k, X) receives
+    the step's solution, X[:, :, j] = X_{k,j}. The state is batch-last:
+    AX[m, a, b, j] is entry (a, b) of A_{j+m} X_{m,j}. Before step m, row
+    m of AX gathers its right-hand side; the step solves for X there, hands
+    it to store and replaces it by A X. In the block of steps from k0 on,
+    the terms m < k0 come from one GEMM per entry at its start; in its
+    sub-block from s0 on, whose systems are factored together first
+    (_factor; each step then only substitutes), the terms k0 <= m < s0 come
+    from one GEMM per entry; only s0 <= m < k are summed step by step. Row
+    m keeps partial sums past its last column, K - m; they only reach
+    columns that no later step reads.
     """
-    t_start = time.perf_counter()
-    N, h, n = grid.N, grid.h, Anodes.shape[-1]
-    tables = hat_moment_tables(N, alpha - 1.0, alpha - 1.0)
-    t_tables = time.perf_counter()
-    ga = gamma(alpha)
-    ck = (np.arange(N + 1) * h) ** alpha / ga
-    selfw = ck * np.diagonal(tables)
+    K, n, (_, p, J) = len(c) - 1, Anodes.shape[-1], AX0.shape
+    selfw = c * np.diagonal(tables)[:K + 1]
     singular = "self-weight system singular at step {}; refine N"
 
-    planes = np.full((n, n, N + 1, N + 1), np.nan)
-    pflat = planes.reshape(n, n, (N + 1) ** 2)
-    pflat[:, :, ::N + 2] = np.eye(n)[:, :, None] / ga
-    Ab = np.zeros((n, n, N + _SUB))  # zeros past node N: those systems are I
-    Ab[:, :, :N + 1] = Anodes.transpose(1, 2, 0)
-    AF = np.zeros((N + 1, n, n, N + 1))
-    AF[0] = Ab[:, :, :N + 1] / ga
-    LU = np.empty(_SUB * n * n * N)
+    Ab = np.zeros((n, n, K + _SUB))  # zeros past node K: those systems are I
+    Ab[:, :, :K + 1] = Anodes.transpose(1, 2, 0)
+    AX = np.zeros((K + 1, n, p, J))
+    AX[0] = AX0
+    LU = np.empty(_SUB * n * n * min(J, K))
 
     def systems(s0, s1, width):
         """Steps s0..s1-1's systems, member j of step s0 + q at q width + j."""
@@ -277,11 +264,11 @@ def _march(Anodes, alpha, grid):
         return lu.reshape(n, n, -1)
 
     factor_s = solves_s = 0.0
-    for k0 in range(1, N + 1, _BLOCK):
-        k1, live = min(k0 + _BLOCK, N + 1), N + 1 - k0
-        T = ck[k0:k1, None] * tables[k0:k1, k0:k1]
+    for k0 in range(1, K + 1, _BLOCK):
+        k1, live = min(k0 + _BLOCK, K + 1), min(J, K + 1 - k0)
+        T = c[k0:k1, None] * tables[k0:k1, k0:k1]
         for s0 in range(k0, k1, _SUB):
-            s1, width = min(s0 + _SUB, k1), N + 1 - s0
+            s1, width = min(s0 + _SUB, k1), min(J, K + 1 - s0)
             rows = slice(s0 - k0, s1 - k0)
             t_factor = time.perf_counter()
             lu = systems(s0, s1, width)
@@ -290,56 +277,73 @@ def _march(Anodes, alpha, grid):
             except np.linalg.LinAlgError:
                 for k in range(s0, s1):  # name the first step that fails alone
                     try:
-                        _factor(systems(k, k + 1, N + 1 - k))
+                        _factor(systems(k, k + 1, min(J, K + 1 - k)))
                     except np.linalg.LinAlgError:
                         break
                 raise SingularSystemError(singular.format(k)) from None
             factor_s += time.perf_counter() - t_factor
-            for a, b in np.ndindex(n, n):
-                if s0 == k0:  # Id/Gamma(alpha) and the block's far sums
-                    np.matmul(tables[k0:k1, :k0], AF[:k0, a, b, :live],
-                              out=AF[k0:k1, a, b, :live])
-                    AF[k0:k1, a, b, :live] *= ck[k0:k1, None]
-                    AF[k0:k1, a, b, :live] += (a == b) / ga
-                AF[s0:s1, a, b, :live] += T[rows, :s0 - k0] @ AF[k0:s0, a, b, :live]
+            for a, b in np.ndindex(n, p):
+                if s0 == k0:  # R_k and the block's far sums
+                    np.matmul(tables[k0:k1, :k0], AX[:k0, a, b, :live],
+                              out=AX[k0:k1, a, b, :live])
+                    AX[k0:k1, a, b, :live] *= c[k0:k1, None]
+                    AX[k0:k1, a, b, :live] += rhs[k0:k1, a, b, None]
+                AX[s0:s1, a, b, :live] += T[rows, :s0 - k0] @ AX[k0:s0, a, b, :live]
             for k in range(s0, s1):
-                i, cols = k - k0, N + 1 - k
-                X = AF[k, :, :, :cols]
+                i, cols = k - k0, min(J, K + 1 - k)
+                X = AX[k, :, :, :cols]
                 if k > s0:
                     X += np.matmul(T[i, s0 - k0:i],
-                                   AF[s0:k, :, :, :cols].transpose(1, 2, 0, 3))
+                                   AX[s0:k, :, :, :cols].transpose(1, 2, 0, 3))
                 t_solve = time.perf_counter()
                 try:
                     _substitute(lu, swaps, X, (k - s0) * width)
                 except np.linalg.LinAlgError:
                     raise SingularSystemError(singular.format(k)) from None
                 solves_s += time.perf_counter() - t_solve
-                pflat[:, :, k * (N + 1)::N + 2][:, :, :cols] = X
-                np.einsum("acj,cbj->abj", Ab[:, :, k:N + 1], X.copy(), out=X)
+                store(k, X)
+                np.einsum("acj,cbj->abj", Ab[:, :, k:k + cols], X.copy(), out=X)
+    return {"factor_s": factor_s, "solves_s": solves_s}
 
-    t_end = time.perf_counter()
-    return planes, {"tables_s": t_tables - t_start, "march_s": t_end - t_tables,
-                    "factor_s": factor_s, "solves_s": solves_s}
+
+def _field_march(Anodes, alpha, grid):
+    """_march for solve_F on the coefficient samples Anodes: one column per
+    diagonal node, T the (alpha-1, alpha-1) hat-moment table,
+    c_k = (k h)^alpha/Gamma(alpha) and R_k = Id/Gamma(alpha). Returns the
+    component planes and the phase times. Each step writes its entries
+    (j + k, j), at flat positions k (N+1) + j (N+2), through one strided view.
+    """
+    t_start = time.perf_counter()
+    N, n = grid.N, Anodes.shape[-1]
+    tables = hat_moment_tables(N, alpha - 1.0, alpha - 1.0)
+    t_tables = time.perf_counter()
+    ga = gamma(alpha)
+    planes = np.full((n, n, N + 1, N + 1), np.nan)
+    pflat = planes.reshape(n, n, (N + 1) ** 2)
+    pflat[:, :, ::N + 2] = np.eye(n)[:, :, None] / ga
+
+    def store(k, X):
+        pflat[:, :, k * (N + 1)::N + 2][:, :, :X.shape[-1]] = X
+
+    phases = _march(Anodes, tables, (np.arange(N + 1) * grid.h) ** alpha / ga,
+                    np.broadcast_to(np.eye(n) / ga, (N + 1, n, n)),
+                    Anodes.transpose(1, 2, 0) / ga, store)
+    return planes, {"tables_s": t_tables - t_start,
+                    "march_s": time.perf_counter() - t_tables, **phases}
 
 
 def solve_F(problem: CauchyProblem, grid: TriangleGrid) -> FundamentalField:
-    """Implicit product-integration march, column by column.
+    """Implicit product-integration march, column by column (_march).
 
-    Column j marches upward from the diagonal. At step count k the unknown
-    node appears inside its own moment weight, so each step solves a small
-    n x n system for every column. These systems do not depend on the field:
-    those of 8 steps are factored together by one batched pivoted
-    elimination, and each step then only substitutes. The steps run in
-    blocks of 64: the history terms that reach back before a block are one
-    BLAS GEMM per matrix entry at the block's start, those that reach back
-    before an 8-step sub-block one more, and the rest are summed step by
-    step. meta records the time spent on the hat-moment tables (tables_s),
-    on the march (march_s) and, within the march, on the factorisations
-    (factor_s) and the substitutions (solves_s).
+    Column j marches upward from the diagonal; the unknown node appears
+    inside its own moment weight, so each step solves a small n x n system
+    for every column. meta records the time spent on the hat-moment tables
+    (tables_s), on the march (march_s) and, within the march, on the
+    factorisations (factor_s) and the substitutions (solves_s).
     """
     _check_grid(problem, grid)
     t_start = time.perf_counter()
-    planes, phases = _march(problem.A.at(grid.t), problem.alpha, grid)
+    planes, phases = _field_march(problem.A.at(grid.t), problem.alpha, grid)
     meta = {"method": "march", "N": grid.N, **phases,
             "wall_time": time.perf_counter() - t_start}
     return FundamentalField(grid, problem.alpha, planes, meta)
@@ -412,7 +416,8 @@ def solve_G_dual(problem: CauchyProblem, grid: TriangleGrid) -> FundamentalField
     _check_grid(problem, grid)
     t_start = time.perf_counter()
     Anodes = problem.A.at(grid.t)
-    mirrored, phases = _march(np.swapaxes(Anodes[::-1], 1, 2), problem.alpha, grid)
+    mirrored, phases = _field_march(np.swapaxes(Anodes[::-1], 1, 2),
+                                    problem.alpha, grid)
     planes = np.ascontiguousarray(
         mirrored.transpose(1, 0, 3, 2)[:, :, ::-1, ::-1])
     meta = {"method": "dual_march", "N": grid.N, **phases,

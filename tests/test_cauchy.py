@@ -1,5 +1,6 @@
 """Cauchy solvers: direct march, representation formulas, history functionals."""
 
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from fracfund import (
     GridMismatchError,
     History,
     PreconditionError,
+    SingularSystemError,
     TriangleGrid,
     b_star,
     equation_residual,
@@ -27,9 +29,10 @@ from fracfund import (
     solve_F,
     solve_direct,
 )
-from fracfund import cauchy
+from fracfund import cauchy, gridfn
 from fracfund.cauchy import (METHOD_DIRECT, _formula_rows, _psi_defining,
                              _psi_from_history)
+from fracfund.cli import main
 from fracfund.fundamental import _ROWS
 from fracfund.quadrules import (SINGULAR_NODES, first_interval_moments,
                                 hat_moment_tables, hypersingular_tail_weights,
@@ -103,6 +106,88 @@ def test_direct_rejects():
         solve_direct(off, 7)  # t_star = 0.3 missing from the 1/7 grid
 
 
+def _reference_direct(problem, N):
+    # the direct solve as a step loop: the history sum W[k, :k] @ v[:k] row
+    # by row, then one np.linalg.solve per step
+    alpha, n = problem.alpha, problem.n
+    t = np.linspace(problem.t0, problem.theta, N + 1)
+    k0 = cauchy._star_index(problem, N)
+    hist = cauchy._history_integrals(problem.history.caputo_samples(alpha),
+                                     alpha, t[k0 + 1:])
+    A, b = problem.A.at(t), problem.b.at(t)
+    ga = gamma(alpha)
+    W = left_moment_weights(alpha, N, (problem.theta - problem.t0) / N)
+    xv = np.empty((N + 1, n))
+    xv[:k0 + 1] = cauchy._prefix_values(problem, t, k0)
+    v = np.empty((N - k0 + 1, n))
+    v[0] = A[k0] @ xv[k0] + b[k0]
+    for k in range(1, N - k0 + 1):
+        i = k0 + k
+        rhs = problem.w0 + hist[k - 1] + (W[k, :k] @ v[:k] + W[k, k] * b[i]) / ga
+        xv[i] = np.linalg.solve(np.eye(n) - (W[k, k] / ga) * A[i], rhs)
+        v[k] = A[i] @ xv[i] + b[i]
+    return xv
+
+
+@pytest.mark.parametrize("k0", [0, 5])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("M", [1, 2, 7, 8, 9, 63, 64, 65, 130])
+def test_direct_march_matches_step_loop(M, n, k0):
+    # M = N - k0 steps straddle the edges of the march's 8-step sub-blocks
+    # and 64-step blocks; a large lower-left entry makes about half of the
+    # 2 x 2 step systems pivot on their second row
+    alpha, N = 0.3, M + k0
+    base = _drifting_problem(n, alpha, k0, N)
+    A0 = np.array([[0.2, 1.0], [-8.0, 0.1]])[:n, :n]
+    A1 = np.array([[-0.4, 0.3], [0.5, 0.6]])[:n, :n]
+    A = Coefficient(n, lambda t: (np.cos(3.0 * t)[:, None, None] * A0
+                                  + t[:, None, None] * A1))
+    p = CauchyProblem(alpha, 0.2, 1.7, A, base.b, base.history)
+    if n == 2 and M > 1:
+        t = np.linspace(0.2, 1.7, N + 1)[k0 + 1:]
+        W = left_moment_weights(alpha, N, 1.5 / N)
+        steps = np.eye(2) - W[1, 1] / gamma(alpha) * A.at(t)
+        assert (np.abs(steps[:, 1, 0]) > np.abs(steps[:, 0, 0])).any()
+    ref = _reference_direct(p, N)
+    got = solve_direct(p, N).x.values
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_singular_direct_step_is_named(tmp_path):
+    # every step k >= 1 has the self weight x = c_k W[k, k] (W[k, k] does
+    # not depend on k), and 1 - x a == 0 exactly: with the constant a every
+    # step system is singular; with a only at node k0 + 11, only step 11
+    # is, inside the sub-block of steps 9-16
+    alpha, N, k0 = 0.5, 64, 8
+    W11 = left_moment_weights(alpha, N, 1.0 / N)[1, 1]
+    x = (1.0 / gamma(alpha)) * W11
+    a = gamma(alpha) / W11
+    while 1.0 - x * a != 0.0:
+        a = np.nextafter(a, np.inf if x * a < 1.0 else -np.inf)
+    p = CauchyProblem.from_initial_value(alpha, 0.0, 1.0,
+                                         Coefficient.constant([[a]]),
+                                         Forcing.zero(1), [1.0])
+    with pytest.raises(SingularSystemError, match="at step 1;"):
+        solve_direct(p, N)
+    samples = np.zeros((N + 1, 1, 1))
+    samples[k0 + 11] = a
+    A = Coefficient.from_samples(GridFn(0.0, 1.0, N, samples))
+    assert np.array_equal(A.at(np.linspace(0.0, 1.0, N + 1)), samples)
+    seg = GridFn(0.0, k0 / N, k0, np.ones((k0 + 1, 1)))
+    p = CauchyProblem(alpha, 0.0, 1.0, A, Forcing.zero(1),
+                      History.from_samples(seg))
+    with pytest.raises(SingularSystemError, match="at step 11;"):
+        solve_direct(p, N)
+    gridfn.write_csv(GridFn(0.0, 1.0, N, samples), tmp_path / "A.csv")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "alpha": alpha, "theta": 1.0, "n": 1, "grid_N": N,
+        "A": {"preset": "samples", "path": "A.csv"},
+        "b": {"preset": "zero"}, "history": {"w0": [1.0]}}))
+    assert main(["solve", "--config", str(cfg), "--method", "direct",
+                 "--out", str(tmp_path / "x.csv")]) == 3
+
+
 def test_solution_csv_and_sidecar(tmp_path):
     p = _cosine_problem()
     sol = solve_direct(p, 16)
@@ -111,8 +196,10 @@ def test_solution_csv_and_sidecar(tmp_path):
     assert path.read_text().splitlines()[0] == "t,x_1,x_2"
     side = sol.sidecar()
     assert side["method"] == "direct"
-    assert set(side) >= {"method", "N", "residual", "residual_s", "wall_time"}
+    assert set(side) >= {"method", "N", "residual", "residual_s", "wall_time",
+                         "factor_s", "solves_s"}
     assert 0.0 <= side["residual_s"] <= side["wall_time"]
+    assert 0.0 <= side["factor_s"] + side["solves_s"] <= side["wall_time"]
 
 
 # ------------------------------------------------- continuation functionals

@@ -26,7 +26,7 @@ from fracfund import (
     z_value,
 )
 from fracfund import gridfn
-from fracfund.fundamental import _solve_small
+from fracfund.fundamental import _factor, _substitute
 from fracfund.operators import op_constants
 from fracfund.oracle import constant_coeff_F
 from fracfund.quadrules import hat_moment_tables
@@ -252,6 +252,14 @@ def test_march_with_row_swaps_matches_unblocked(N):
                      (solve_G_dual(p, g).values, _reference_G(p, g))):
         assert np.array_equal(np.isnan(got), np.isnan(ref))
         assert np.nanmax(np.abs(got - ref)) <= 1e-14 * np.nanmax(np.abs(ref))
+
+
+def _solve_small(M, R):
+    # M[b] X[b] = R[b] for a batch of small systems: the march's _factor,
+    # then _substitute, on batch-last copies
+    LU, X = M.transpose(1, 2, 0).copy(), R.transpose(1, 2, 0).copy()
+    _substitute(LU, _factor(LU), X)
+    return np.ascontiguousarray(X.transpose(2, 0, 1))
 
 
 def _permuted_batch(rng, B, n, m):
