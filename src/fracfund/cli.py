@@ -54,56 +54,34 @@ def _integer(raw, name):
     return int(value)
 
 
-def _matrix(raw, n):
+def _array(raw, shape):
     arr = np.asarray(raw, dtype=float)
-    if arr.shape != (n, n):
-        raise ProblemSpecError(f"matrix shape {arr.shape} does not match n={n}")
+    if arr.shape != shape:
+        raise ProblemSpecError(f"array shape {arr.shape} does not match {shape}")
     if not np.isfinite(arr).all():
-        raise ProblemSpecError("matrix entries must be finite")
+        raise ProblemSpecError("array entries must be finite")
     return arr
 
 
-def _vector(raw, n):
-    arr = np.asarray(raw, dtype=float)
-    if arr.shape != (n,):
-        raise ProblemSpecError(f"vector shape {arr.shape} does not match n={n}")
-    if not np.isfinite(arr).all():
-        raise ProblemSpecError("vector entries must be finite")
-    return arr
-
-
-def _coefficient(spec, n, base_dir):
+def _node_function(cls, spec, n, base_dir):
+    """A Coefficient or Forcing from its preset; the values sit under cls.kind."""
     preset = spec.get("preset", "constant")
+    shape = (n,) * cls.rank
     if preset == "zero":
-        return Coefficient.zero(n)
+        return cls.zero(n)
     if preset == "constant":
-        return Coefficient.constant(_matrix(spec["matrix"], n))
-    if preset == "rotation":
+        return cls.constant(_array(spec[cls.kind], shape))
+    if preset == "cosine":
+        return cls.cosine(_array(spec[cls.kind], shape),
+                          _scalar(spec.get("omega", 1.0), "omega"))
+    if preset == "samples":
+        gf = read_csv(_resolve(spec["path"], base_dir), value_shape=shape)
+        return cls.from_samples(gf)
+    if preset == "rotation" and cls is Coefficient:
         if n != 2:
             raise ProblemSpecError("rotation preset is 2x2")
-        return Coefficient.rotation(_scalar(spec.get("scale", 1.0), "scale"))
-    if preset == "cosine":
-        return Coefficient.cosine(_matrix(spec["matrix"], n),
-                                  _scalar(spec.get("omega", 1.0), "omega"))
-    if preset == "samples":
-        gf = read_csv(_resolve(spec["path"], base_dir), value_shape=(n, n))
-        return Coefficient.from_samples(gf)
-    raise ProblemSpecError(f"unknown coefficient preset {preset!r}")
-
-
-def _forcing(spec, n, base_dir):
-    preset = spec.get("preset", "constant")
-    if preset == "zero":
-        return Forcing.zero(n)
-    if preset == "constant":
-        return Forcing.constant(_vector(spec["vector"], n))
-    if preset == "cosine":
-        return Forcing.cosine(_vector(spec["vector"], n),
-                              _scalar(spec.get("omega", 1.0), "omega"))
-    if preset == "samples":
-        gf = read_csv(_resolve(spec["path"], base_dir), value_shape=(n,))
-        return Forcing.from_samples(gf)
-    raise ProblemSpecError(f"unknown forcing preset {preset!r}")
+        return cls.rotation(_scalar(spec.get("scale", 1.0), "scale"))
+    raise ProblemSpecError(f"unknown {cls.__name__.lower()} preset {preset!r}")
 
 
 def _history(spec, alpha, t0, n, base_dir):
@@ -123,13 +101,13 @@ def _history(spec, alpha, t0, n, base_dir):
         if not isinstance(gen, dict):
             raise ProblemSpecError("history.generator must be a JSON object")
         phi = read_csv(_resolve(gen["phi_csv"], base_dir), value_shape=(n,))
-        return History.from_generator(alpha, _vector(gen["w0"], n), phi)
+        return History.from_generator(alpha, _array(gen["w0"], (n,)), phi)
     if "w0" in spec:
         if abs(t_star - t0) > 0.0:
             raise ProblemSpecError(
                 "a bare start vector requires t_star == t0; "
                 "supply w_star_csv or a generator for t_star > t0")
-        return History.point(t0, _vector(spec["w0"], n))
+        return History.point(t0, _array(spec["w0"], (n,)))
     raise ProblemSpecError("history needs one of w0, w_star_csv, generator")
 
 
@@ -144,8 +122,8 @@ def load_problem(cfg, base_dir):
     for key in ("A", "b", "history", "tolerances"):
         if not isinstance(cfg.get(key, {}), dict):
             raise ProblemSpecError(f"{key} must be a JSON object")
-    A = _coefficient(cfg.get("A", {"preset": "zero"}), n, base_dir)
-    b = _forcing(cfg.get("b", {"preset": "zero"}), n, base_dir)
+    A = _node_function(Coefficient, cfg.get("A", {"preset": "zero"}), n, base_dir)
+    b = _node_function(Forcing, cfg.get("b", {"preset": "zero"}), n, base_dir)
     history = _history(cfg.get("history", {}), alpha, t0, n, base_dir)
     grid_N = _integer(cfg.get("grid_N", 512), "grid_N")
     if grid_N < 8:
@@ -200,6 +178,9 @@ def cmd_solve(args):
         grid = TriangleGrid(problem.t0, problem.theta, grid_N)
         field = solve_F(problem, grid)
         sol = _SOLVERS[args.method](problem, field)
+    if not np.isfinite(sol.x.values).all():
+        raise FloatingPointError(
+            f"non-finite solution at grid_N = {grid_N}; nothing written")
     sol.write_csv(args.out)
     _write_sidecar(args.out, sol.sidecar())
     return EXIT_OK
@@ -275,7 +256,7 @@ def main(argv=None) -> int:
     except PreconditionError as err:
         return _fail(EXIT_PRECONDITION, err)
     except (NonConvergenceError, SingularSystemError, ToleranceNotMetError,
-            np.linalg.LinAlgError, FloatingPointError, OverflowError) as err:
+            np.linalg.LinAlgError, ArithmeticError) as err:
         return _fail(EXIT_NUMERICS, err)
     except MemoryError:
         grid_N = getattr(args, "grid_N", "?")

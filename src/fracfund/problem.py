@@ -4,6 +4,11 @@ A problem bundles the order alpha, the window [t0, theta], a matrix
 coefficient A(.), a vector forcing b(.), and the history: the solution is
 prescribed on [t0, t_star] and unknown on (t_star, theta]. When
 t_star == t0 the history collapses to a single start vector.
+
+The coefficient and the forcing are one type, NodeFunction, a map from an
+array of nodes to (n,)*rank-shaped values with rank 2 (Coefficient) or
+1 (Forcing); it owns evaluation with its shape check and the constructors
+the two share.
 """
 
 from __future__ import annotations
@@ -16,19 +21,12 @@ from .errors import ProblemSpecError
 from .gridfn import GridFn
 
 
-def _eval_on_nodes(fn, t, shape):
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.asarray(fn(t), dtype=float)
-    want = (t.size,) + shape
-    if out.shape != want:
-        raise ProblemSpecError(
-            f"coefficient callable returned shape {out.shape}, expected {want}"
-        )
-    return out
+class NodeFunction:
+    """Map t -> (n,)*rank array, evaluated on arrays of nodes.
 
-
-class Coefficient:
-    """Matrix-valued map t -> A(t), evaluated on arrays of nodes."""
+    Subclasses set ``rank`` (2 for the coefficient, 1 for the forcing) and
+    ``kind``, the value's name ("matrix", "vector") and its config key.
+    """
 
     def __init__(self, n, fn, label="custom"):
         if n < 1:
@@ -38,99 +36,78 @@ class Coefficient:
         self.label = label
 
     def at(self, t):
-        """A at each node of t, shape (len(t), n, n)."""
-        return _eval_on_nodes(self._fn, t, (self.n, self.n))
+        """Values at each node of t, shape (len(t), n, ..., n)."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        out = np.asarray(self._fn(t), dtype=float)
+        want = (t.size,) + (self.n,) * self.rank
+        if out.shape != want:
+            raise ProblemSpecError(
+                f"{type(self).__name__.lower()} callable returned shape "
+                f"{out.shape}, expected {want}")
+        return out
 
     @classmethod
-    def constant(cls, A0):
-        A0 = np.asarray(A0, dtype=float)
-        if A0.ndim != 2 or A0.shape[0] != A0.shape[1]:
-            raise ProblemSpecError("constant coefficient must be a square matrix")
-        return cls(A0.shape[0], lambda t: np.broadcast_to(A0, (t.size,) + A0.shape).copy(),
+    def _check_shape(cls, shape, what):
+        if len(shape) != cls.rank or len(set(shape)) != 1:
+            raise ProblemSpecError(
+                f"{cls.__name__.lower()} {what} needs a "
+                f"{'square ' * (cls.rank > 1)}{cls.kind}, got shape {shape}")
+        return shape[0]
+
+    @classmethod
+    def constant(cls, v0):
+        v0 = np.asarray(v0, dtype=float)
+        n = cls._check_shape(v0.shape, "constant")
+        return cls(n, lambda t: np.broadcast_to(v0, (t.size,) + v0.shape).copy(),
                    label="constant")
 
     @classmethod
     def zero(cls, n):
-        return cls(n, lambda t: np.zeros((t.size, n, n)), label="zero")
+        return cls(n, lambda t: np.zeros((t.size,) + (n,) * cls.rank),
+                   label="zero")
 
     @classmethod
-    def rotation(cls, scale=1.0):
-        """2x2 skew block [[0, 1], [-1, 0]] times scale."""
-        A0 = np.array([[0.0, 1.0], [-1.0, 0.0]]) * float(scale)
-        out = cls.constant(A0)
-        out.label = "rotation"
-        return out
-
-    @classmethod
-    def cosine(cls, A0, omega):
-        A0 = np.asarray(A0, dtype=float)
-        if A0.ndim != 2 or A0.shape[0] != A0.shape[1]:
-            raise ProblemSpecError("cosine coefficient needs a square base matrix")
-        om = float(omega)
-        return cls(A0.shape[0],
-                   lambda t: np.cos(om * t)[:, None, None] * A0,
+    def cosine(cls, v0, omega):
+        """cos(omega t) times the base value v0."""
+        v0 = np.asarray(v0, dtype=float)
+        n = cls._check_shape(v0.shape, "cosine")
+        om, axes = float(omega), (1,) * cls.rank
+        return cls(n, lambda t: np.cos(om * t).reshape(-1, *axes) * v0,
                    label="cosine")
 
     @classmethod
     def from_samples(cls, samples: GridFn):
-        if samples.value_shape == () or len(samples.value_shape) != 2:
-            raise ProblemSpecError("matrix samples must be (n, n)-valued")
-        n = samples.value_shape[0]
-        if samples.value_shape != (n, n):
-            raise ProblemSpecError("matrix samples must be square")
+        """Interpolated node samples of a (n,)*rank-valued GridFn."""
+        n = cls._check_shape(samples.value_shape, "samples")
         return cls(n, samples.sample, label="samples")
 
     @classmethod
     def from_callable(cls, n, fn, label="custom"):
+        """Wrap a function of one float, called once per node."""
         def batched(t):
             return np.stack([np.asarray(fn(float(x)), dtype=float) for x in t])
         return cls(n, batched, label=label)
 
 
-class Forcing:
-    """Vector-valued map t -> b(t), evaluated on arrays of nodes."""
+class Coefficient(NodeFunction):
+    """Matrix-valued map t -> A(t)."""
 
-    def __init__(self, n, fn, label="custom"):
-        if n < 1:
-            raise ProblemSpecError("dimension must be >= 1")
-        self.n = int(n)
-        self._fn = fn
-        self.label = label
-
-    def at(self, t):
-        return _eval_on_nodes(self._fn, t, (self.n,))
+    rank = 2
+    kind = "matrix"
 
     @classmethod
-    def constant(cls, b0):
-        b0 = np.asarray(b0, dtype=float)
-        if b0.ndim != 1:
-            raise ProblemSpecError("constant forcing must be a vector")
-        return cls(b0.size, lambda t: np.broadcast_to(b0, (t.size, b0.size)).copy(),
-                   label="constant")
+    def rotation(cls, scale=1.0):
+        """2x2 skew block [[0, 1], [-1, 0]] times scale."""
+        out = cls.constant(np.array([[0.0, 1.0], [-1.0, 0.0]]) * float(scale))
+        out.label = "rotation"
+        return out
 
-    @classmethod
-    def zero(cls, n):
-        return cls(n, lambda t: np.zeros((t.size, n)), label="zero")
 
-    @classmethod
-    def cosine(cls, b0, omega):
-        b0 = np.asarray(b0, dtype=float)
-        if b0.ndim != 1:
-            raise ProblemSpecError("cosine forcing needs a base vector")
-        om = float(omega)
-        return cls(b0.size, lambda t: np.cos(om * t)[:, None] * b0, label="cosine")
+class Forcing(NodeFunction):
+    """Vector-valued map t -> b(t)."""
 
-    @classmethod
-    def from_samples(cls, samples: GridFn):
-        if len(samples.value_shape) != 1:
-            raise ProblemSpecError("forcing samples must be vector-valued")
-        return cls(samples.value_shape[0], samples.sample, label="samples")
-
-    @classmethod
-    def from_callable(cls, n, fn, label="custom"):
-        def batched(t):
-            return np.stack([np.asarray(fn(float(x)), dtype=float) for x in t])
-        return cls(n, batched, label=label)
+    rank = 1
+    kind = "vector"
 
 
 @dataclass
@@ -224,6 +201,8 @@ class CauchyProblem:
         if self.A.n != self.b.n or self.A.n != self.history.n:
             raise ProblemSpecError("dimension mismatch between A, b, history")
         span = self.theta - self.t0
+        if not np.isfinite(span):
+            raise ProblemSpecError(f"theta - t0 overflows: {span}")
         if abs(self.history.w_star.a - self.t0) > 1e-12 * max(span, 1.0):
             raise ProblemSpecError("history must start at t0")
         ts = self.history.t_star

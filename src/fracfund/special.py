@@ -2,7 +2,9 @@
 
 The gamma evaluation uses a fixed-coefficient Lanczos approximation whose
 constants are embedded below, so results are bit-reproducible across
-platforms and independent of any system libm quirks.  The Mittag-Leffler
+platforms and independent of any system libm quirks.  log_gamma is the
+standard library's math.lgamma behind the same domain check; only gamma
+keeps the Lanczos core.  The Mittag-Leffler
 function is summed as a matrix power series with a term recurrence; the
 gamma ratios that scale consecutive terms are formed in log space so the
 recurrence never overflows even when thousands of terms are needed.
@@ -33,18 +35,9 @@ _LANCZOS_C = (
 )
 
 _SQRT_2PI = 2.5066282746310002
-_LN_SQRT_2PI = 0.9189385332046727
 
 # gamma(172) overflows IEEE double
 _GAMMA_OVERFLOW_X = 171.62437695630272
-
-
-def _lanczos_series(x):
-    # valid for x >= 0.5 after the caller's reflection/recurrence step
-    s = _LANCZOS_C[0]
-    for i in range(1, 9):
-        s += _LANCZOS_C[i] / (x - 1.0 + i)
-    return s
 
 
 def gamma(x: float) -> float:
@@ -62,22 +55,21 @@ def gamma(x: float) -> float:
         # one recurrence step keeps the core on its accurate branch
         return gamma(x + 1.0) / x
     z = x - 1.0
+    series = _LANCZOS_C[0]
+    for i in range(1, 9):
+        series += _LANCZOS_C[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
     # split power so t**(z+0.5) cannot overflow before exp(-t) rescales
     r = t ** (0.5 * (z + 0.5))
-    return _SQRT_2PI * _lanczos_series(x) * r * math.exp(-t) * r
+    return _SQRT_2PI * series * r * math.exp(-t) * r
 
 
 def log_gamma(x: float) -> float:
-    """Natural log of gamma(x), x > 0.  Same Lanczos core as :func:`gamma`."""
+    """Natural log of gamma(x), x > 0, from :func:`math.lgamma`."""
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x!r}")
-    if x < 0.5:
-        return log_gamma(x + 1.0) - math.log(x)
-    z = x - 1.0
-    t = z + _LANCZOS_G + 0.5
-    return _LN_SQRT_2PI + (z + 0.5) * math.log(t) - t + math.log(_lanczos_series(x))
+    return math.lgamma(x)
 
 
 @dataclass

@@ -146,6 +146,14 @@ def test_rotation_needs_two_dims(tmp_path):
                  "--out", str(tmp_path / "o.csv")]) == 2
 
 
+def test_rotation_is_no_forcing_preset(tmp_path, capsys):
+    cfg = _write_config(tmp_path, n=2, A={"preset": "zero"},
+                        b={"preset": "rotation"}, history={"w0": [0.0, 0.0]})
+    assert main(["solve", "--config", str(cfg), "--method", "direct",
+                 "--out", str(tmp_path / "o.csv")]) == 2
+    assert "unknown forcing preset 'rotation'" in capsys.readouterr().err
+
+
 def test_unknown_method_is_usage_error(tmp_path):
     cfg = _write_config(tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -164,6 +172,44 @@ def test_repr_pc_needs_collapsed_history(tmp_path):
     rc = main(["solve", "--config", str(cfg), "--method", "repr-pc",
                "--out", str(tmp_path / "o.csv")])
     assert rc == 4
+
+
+@pytest.mark.parametrize("command", [["fundamental"],
+                                     ["solve", "--method", "repr-pc"]],
+                         ids=["fundamental", "repr-pc"])
+def test_tiny_order_is_a_numerical_error(tmp_path, capsys, command):
+    # alpha - 1 rounds to -1, and the Gauss-Jacobi rule divides by zero
+    cfg = _write_config(tmp_path, alpha=1e-300)
+    out = tmp_path / "o.csv"
+    assert main([*command, "--config", str(cfg), "--out", str(out)]) == 3
+    assert "fracfund: error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["fundamental"],
+                                     ["solve", "--method", "direct"]],
+                         ids=["fundamental", "direct"])
+def test_overflowing_span_is_a_config_error(tmp_path, capsys, command):
+    # both ends are finite, theta - t0 is not
+    cfg = _write_config(tmp_path, t0=-1e308, theta=1e308)
+    out = tmp_path / "o.csv"
+    assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "theta - t0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_non_finite_solution_is_not_written(tmp_path, capsys):
+    # W b overflows: the direct solve ends in inf
+    cfg = _write_config(tmp_path, A={"preset": "constant", "matrix": [[-1.0]]},
+                        b={"preset": "constant", "vector": [1e308]}, grid_N=16)
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = main(["solve", "--config", str(cfg), "--method", "direct",
+                   "--out", str(out)])
+    assert rc == 3
+    assert "grid_N = 16" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 # ----------------------------------------------------------------- solve

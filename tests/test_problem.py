@@ -190,6 +190,13 @@ def test_problem_validation():
         _valid_problem(history=History.from_samples(seg))
 
 
+def test_problem_rejects_overflowing_span():
+    # both ends are finite, theta - t0 is not
+    with pytest.raises(ProblemSpecError):
+        _valid_problem(t0=-1e308, theta=1e308,
+                       history=History.point(-1e308, [1.0, 0.0]))
+
+
 def test_problem_with_interior_segment():
     seg = GridFn(0.0, 0.5, 4, np.ones((5, 2)))
     p = _valid_problem(history=History.from_samples(seg))
