@@ -3,7 +3,8 @@
 The solution is prescribed on [t0, t_star] and continued to (t_star, theta].
 Four routes produce it: a direct march of the equivalent integral equation,
 which is the field's march with one column, and three representation
-formulas driven by the fundamental field.
+formulas driven by the fundamental field.  The march and the residual that
+checks every route read one assembly of that equation, _equation.
 The history enters the formulas through the continuation functional psi and
 the modified forcing b_star; psi's difference against its value at t_star is
 alpha-Hoelder at t_star, so the first subinterval of every memory integral is
@@ -23,7 +24,8 @@ Legendre node for psi's smooth panels) with a profile of O(N) powers; the
 segment's end nodes and psi's singular last panel are added per entry.
 Every other target (the Jacobi points of the first subinterval, a doubled
 grid, a segment read from another grid) takes one closed-form weight per
-(target, node) entry.
+(target, node) entry.  Every psi target, t_star included, takes the same
+smooth-panel sum; only the last panel's Jacobi rule differs at t_star.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ def _star_index(problem, N):
     h = (problem.theta - problem.t0) / N
     kf = (problem.t_star - problem.t0) / h
     k0 = int(round(kf))
-    if abs(kf - k0) > 1e-8:
+    if abs(kf - k0) > _LATTICE_TOL:
         raise GridMismatchError(
             f"t_star={problem.t_star} is not a node of the N={N} grid")
     return k0
@@ -145,28 +147,30 @@ def _history_integrals(phi: GridFn, alpha, ts):
     return _moment_sums(alpha, phi, ts, phi.values) / gamma(alpha)
 
 
+def _equation(problem, N):
+    """The direct solve's equation past t_star on the N grid, x_k = w0 + H_k
+    + (W (A x + b))_k / Gamma(alpha), with H the memory integral of the
+    history's Caputo density and W the left-moment table.  Returns k0, the
+    nodes, then W, A and b on the nodes from t_star, and w0 + H."""
+    alpha = problem.alpha
+    t = np.linspace(problem.t0, problem.theta, N + 1)
+    k0 = _star_index(problem, N)
+    phi = problem.history.caputo_samples(alpha)
+    start = problem.w0 + _history_integrals(phi, alpha, t[k0 + 1:])
+    W = left_moment_weights(alpha, N, (problem.theta - problem.t0) / N)
+    return (k0, t, W[:N - k0 + 1, :N - k0 + 1], problem.A.at(t[k0:]),
+            problem.b.at(t[k0:]), start)
+
+
 def equation_residual(problem, x: GridFn):
     """Max residual of the discretized integral equation over nodes past t_star.
 
     The equation states x(t) = w(t0) + history integral + memory integral of
-    A x + b from t_star to t; all three pieces are evaluated with the same
-    product-integration weights the direct solver uses.
+    A x + b from t_star to t, as solve_direct assembles and solves it.
     """
-    N = x.N
-    k0 = _star_index(problem, N)
-    t = x.t
-    h = x.h
-    alpha = problem.alpha
-    ga = gamma(alpha)
-    phi = problem.history.caputo_samples(alpha)
-    hist = _history_integrals(phi, alpha, t[k0 + 1:])
-    w0 = problem.w0
-    Anodes = problem.A.at(t[k0:])
-    bnodes = problem.b.at(t[k0:])
+    k0, _, W, Anodes, bnodes, start = _equation(problem, x.N)
     v = np.einsum("mab,mb->ma", Anodes, x.values[k0:]) + bnodes
-    M = N - k0
-    W = left_moment_weights(alpha, N, h)
-    rhs = w0 + hist + (W[1:M + 1, :M + 1] @ v) / ga
+    rhs = start + (W[1:] @ v) / gamma(problem.alpha)
     return float(np.abs(x.values[k0 + 1:] - rhs).max())
 
 
@@ -182,21 +186,12 @@ def solve_direct(problem: CauchyProblem, N: int) -> Solution:
     if N < 1:
         raise DomainError("need N >= 1")
     t_start = time.perf_counter()
-    alpha, n = problem.alpha, problem.n
-    t = np.linspace(problem.t0, problem.theta, N + 1)
-    k0 = _star_index(problem, N)
-    phi = problem.history.caputo_samples(alpha)
-    hist = _history_integrals(phi, alpha, t[k0 + 1:])
-    Anodes = problem.A.at(t[k0:])
-    ga = gamma(alpha)
-    M = N - k0
-    W = left_moment_weights(alpha, N, (problem.theta - problem.t0) / N)
-
-    xv = np.empty((N + 1, n))
+    k0, t, W, Anodes, bnodes, start = _equation(problem, N)
+    ga, M = gamma(problem.alpha), N - k0
+    xv = np.empty((N + 1, problem.n))
     xv[:k0 + 1] = _prefix_values(problem, t, k0)
-    rhs = np.zeros((M + 1, n, 1))
-    rhs[1:, :, 0] = (problem.w0 + hist
-                     + (W[1:M + 1, :M + 1] @ problem.b.at(t[k0:])) / ga)
+    rhs = np.zeros((M + 1, problem.n, 1))
+    rhs[1:, :, 0] = start + (W[1:] @ bnodes) / ga
 
     def store(k, X):
         xv[k0 + k] = X[:, 0, 0]
@@ -210,81 +205,61 @@ def _psi_defining(phi: GridFn, alpha, ts):
     """Continuation functional from its defining quadrature, at points ts.
 
     psi(t) = (sin(pi alpha)/pi) * integral over the start segment of
-    (t_star - tau)^alpha phi(tau) / (t - tau).  The cusp factor at the
-    segment's right end is carried by a Jacobi weight; at t == t_star the
-    kernel gains an extra power and a matching rule takes over.  Accuracy
-    degrades when 0 < t - t_star << h; callers use the proper-integral form
-    for such points instead.
+    (t_star - tau)^alpha phi(tau) / (t - tau).  All targets share one
+    smooth-panel sum, _smooth_panel_sums.  The cusp factor on the last
+    interval is carried by a Jacobi weight; at t == t_star the kernel gains
+    an extra power and a matching rule takes over.  Accuracy degrades when
+    0 < t - t_star << h; callers use the proper-integral form for such
+    points instead.
     """
     ts = np.asarray(ts, dtype=float)
-    n = phi.value_shape[0]
-    out = np.zeros((len(ts), n))
+    vals = _smooth_panel_sums(phi, alpha, ts)
     if phi.N == 0:
-        return out
-    tstar, hh, Nh = phi.b, phi.h, phi.N
-    c = math.sin(alpha * math.pi) / math.pi
-
-    pts = []
-    wts = []
-    if Nh > 1:
-        u, w = jacobi_rule_01(SMOOTH_NODES, 0.0, 0.0)
-        base = phi.a + (np.arange(Nh - 1)[:, None] + u[None, :]) * hh
-        pts.append(base.ravel())
-        wts.append((w[None, :] * hh * (tstar - base) ** alpha).ravel())
-    u, w = jacobi_rule_01(SINGULAR_NODES, 0.0, alpha)
-    pts.append(tstar - hh * (1.0 - u))
-    wts.append(w * hh ** (1.0 + alpha))
-    pts = np.concatenate(pts)
-    wts = np.concatenate(wts)
-    fvals = phi.sample(pts)
-
+        return vals
+    tstar, hh = phi.b, phi.h
     at_star = np.abs(ts - tstar) <= 1e-12 * max(tstar - phi.a, 1.0)
-    away = ~at_star
-    ts_away = ts[away]
-    if ts_away.size:
-        # on the segment's lattice the smooth panels are convolutions and
-        # only the singular panel is summed per entry
-        k = _lattice_start(phi, ts_away)
-        ns = 0 if k is None else (Nh - 1) * SMOOTH_NODES
-        chunks = []
-        for lo in range(0, ts_away.size, _PSI_CHUNK):
-            # the kernel is built in place: one block-sized temporary
-            kern = ts_away[lo:lo + _PSI_CHUNK, None] - pts[ns:]
-            np.divide(wts[ns:], kern, out=kern)
-            chunks.append(kern @ fvals[ns:])
-        vals = np.concatenate(chunks)
-        if ns:
-            data = wts[:ns, None] * fvals[:ns]
-            vals += _smooth_panel_sums(
-                k, hh, ts_away.size, data.reshape(Nh - 1, SMOOTH_NODES, n))
-        out[away] = c * vals
-    if at_star.any():
-        # kernel power drops by one at the segment end; dedicated rule
-        u0, w0 = jacobi_rule_01(SINGULAR_NODES, 0.0, alpha - 1.0)
-        pts0 = tstar - hh * (1.0 - u0)
-        val = (w0 * hh ** alpha) @ phi.sample(pts0)
-        if Nh > 1:
-            sm = slice(0, (Nh - 1) * SMOOTH_NODES)
-            val = val + (wts[sm] / (tstar - pts[sm])) @ fvals[sm]
-        out[at_star] = c * val
-    return out
+    u, w = jacobi_rule_01(SINGULAR_NODES, 0.0, alpha)
+    pts = tstar - hh * (1.0 - u)
+    vals[~at_star] += (w * hh ** (1.0 + alpha)
+                       / (ts[~at_star, None] - pts)) @ phi.sample(pts)
+    # kernel power drops by one at the segment end; dedicated rule
+    u, w = jacobi_rule_01(SINGULAR_NODES, 0.0, alpha - 1.0)
+    vals[at_star] += (w * hh ** alpha) @ phi.sample(tstar - hh * (1.0 - u))
+    return math.sin(alpha * math.pi) / math.pi * vals
 
 
-def _smooth_panel_sums(k, hh, nt, data):
-    """Smooth-panel part of _psi_defining at targets t_star + (k + r) hh,
-    r = 0..nt-1, on a segment of Nh steps.
+def _smooth_panel_sums(phi: GridFn, alpha, ts):
+    """The smooth panels' part of _psi_defining at targets ts: panels
+    i = 0..Nh-2 of a segment of Nh steps, SMOOTH_NODES Legendre nodes each.
 
-    data[i, q] holds the weighted values at the Legendre node u_q of panel
-    i = 0..Nh-2.  That node lies m - u_q steps before the target, with
+    On the segment's lattice, ts = t_star + (k + r) hh for r = 0..nt-1, the
+    node u_q of panel i lies m - u_q steps before target r, with
     m = Nh + k + r - i, so each node q is one convolution of the kernel
-    1/((m - u_q) hh) with its column of data.
+    1/((m - u_q) hh) with its column of weighted values.  Elsewhere each
+    (target, node) entry is summed on its own, _PSI_CHUNK targets at a time.
     """
-    u, _ = jacobi_rule_01(SMOOTH_NODES, 0.0, 0.0)
-    m = k + 2 + np.arange(data.shape[0] + nt - 1, dtype=float)
+    Nh, hh, n = phi.N, phi.h, phi.value_shape[0]
+    out = np.zeros((len(ts), n))
+    if Nh < 2:
+        return out
+    u, w = jacobi_rule_01(SMOOTH_NODES, 0.0, 0.0)
+    base = phi.a + (np.arange(Nh - 1)[:, None] + u[None, :]) * hh
+    wts = w[None, :] * hh * (phi.b - base) ** alpha
+    fvals = phi.sample(base)
+    k = _lattice_start(phi, ts)
+    if k is None:
+        pts, wts, fvals = base.ravel(), wts.ravel(), fvals.reshape(-1, n)
+        for lo in range(0, len(ts), _PSI_CHUNK):
+            # the kernel is built in place: one block-sized temporary
+            kern = ts[lo:lo + _PSI_CHUNK, None] - pts
+            np.divide(wts, kern, out=kern)
+            out[lo:lo + _PSI_CHUNK] = kern @ fvals
+        return out
+    data = wts[..., None] * fvals
+    m = k + 2 + np.arange(Nh + len(ts) - 2, dtype=float)
     kern = 1.0 / ((m - u[:, None]) * hh)
-    out = np.zeros((nt, data.shape[2]))
     for q in range(SMOOTH_NODES):
-        for c in range(data.shape[2]):
+        for c in range(n):
             out[:, c] += np.convolve(kern[q], data[:, q, c], "valid")
     return out
 
@@ -315,11 +290,8 @@ def psi_star(phi: GridFn, alpha, target: GridFn) -> GridFn:
     """Continuation functional on a target grid starting at the segment end."""
     if abs(target.a - phi.b) > 1e-12 * max(abs(phi.b), 1.0):
         raise DomainError("target grid must start at the segment end")
-    if phi.a == phi.b:
-        vals = np.zeros((target.N + 1,) + phi.value_shape)
-    else:
-        vals = _psi_defining(phi, alpha, target.t)
-    return GridFn(target.a, target.b, target.N, vals)
+    return GridFn(target.a, target.b, target.N,
+                  _psi_defining(phi, alpha, target.t))
 
 
 def b_star(problem: CauchyProblem, psi: GridFn) -> GridFn:

@@ -17,8 +17,9 @@ import numpy as np
 from .cauchy import (represent_gc, represent_gc_compact, represent_pc,
                      solve_direct)
 from .checks import all_pass, run_suite
-from .errors import (NonConvergenceError, PreconditionError, ProblemSpecError,
-                     SingularSystemError, ToleranceNotMetError)
+from .errors import (GridMismatchError, NonConvergenceError,
+                     PreconditionError, ProblemSpecError, SingularSystemError,
+                     ToleranceNotMetError)
 from .fundamental import TriangleGrid, solve_F, solve_F_picard
 from .gridfn import read_csv
 from .problem import CauchyProblem, Coefficient, Forcing, History
@@ -86,21 +87,30 @@ def _node_function(cls, spec, n, base_dir):
 
 def _history(spec, alpha, t0, n, base_dir):
     t_star = _scalar(spec.get("t_star", t0), "t_star")
+
+    def read(key, path):
+        """The CSV at path, cut at t_star, which must be one of its nodes;
+        without a t_star, the CSV's own end is t_star."""
+        gf = read_csv(_resolve(path, base_dir), value_shape=(n,))
+        try:
+            return gf.prefix(t_star) if "t_star" in spec else gf
+        except GridMismatchError:
+            raise ProblemSpecError(f"history.t_star = {t_star} is not a node "
+                                   f"of {key} on [{gf.a}, {gf.b}]") from None
+
     if "w_star_csv" in spec:
-        gf = read_csv(_resolve(spec["w_star_csv"], base_dir), value_shape=(n,))
-        if gf.b > t_star:
-            # a full-run CSV doubles as a history source; keep its prefix
-            gf = gf.prefix(t_star)
+        if "t_star" not in spec:  # t0 would cut the segment to one point
+            raise ProblemSpecError("history.w_star_csv needs history.t_star")
+        gf = read("w_star_csv", spec["w_star_csv"])
         caputo = None
         if "caputo_csv" in spec:
-            caputo = read_csv(_resolve(spec["caputo_csv"], base_dir),
-                              value_shape=(n,))
+            caputo = read("caputo_csv", spec["caputo_csv"])
         return History.from_samples(gf, caputo)
     if "generator" in spec:
         gen = spec["generator"]
         if not isinstance(gen, dict):
             raise ProblemSpecError("history.generator must be a JSON object")
-        phi = read_csv(_resolve(gen["phi_csv"], base_dir), value_shape=(n,))
+        phi = read("generator.phi_csv", gen["phi_csv"])
         return History.from_generator(alpha, _array(gen["w0"], (n,)), phi)
     if "w0" in spec:
         if abs(t_star - t0) > 0.0:

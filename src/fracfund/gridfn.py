@@ -56,8 +56,12 @@ class GridFn:
         return int(np.prod(self.value_shape, dtype=int)) if self.value_shape else 1
 
     def sample(self, x) -> np.ndarray:
-        """Piecewise-linear evaluation at arbitrary points inside [a, b]."""
+        """Piecewise-linear evaluation at points inside [a, b], up to rounding."""
         x = np.asarray(x, dtype=float)
+        slack = 1e-9 * max(self.b - self.a, abs(self.a), abs(self.b), 1.0)
+        if x.size and not self.a - slack <= x.min() <= x.max() <= self.b + slack:
+            raise DomainError(f"points on [{x.min()}, {x.max()}] lie outside "
+                              f"the sampled interval [{self.a}, {self.b}]")
         if self.N == 0:
             out = np.broadcast_to(self.values[0], x.shape + self.value_shape)
             return out.copy()

@@ -294,6 +294,28 @@ def test_off_lattice_history_sums_per_entry(alpha):
         * (ts[1:] - t[-1])[:, None] ** alpha * tail)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9])
+def test_restart_from_a_segment_on_another_grid(alpha):
+    # a segment cut from a direct solve on the 64 grid restarts a problem on
+    # the 128 grid; t_star = 0.375 is a node of both
+    c = _cosine_problem()
+    p = CauchyProblem.from_initial_value(alpha, 0.0, 1.0, c.A, c.b, [1.0, 0.0])
+    seg = solve_direct(p, 64).x.prefix(0.375)
+    pr = CauchyProblem(alpha, 0.0, 1.0, c.A, c.b, History.from_samples(seg))
+    # the direct solve meets the very equation the residual checks
+    assert solve_direct(pr, 128).meta["residual"] <= 1e-13  # measured 4.4e-16
+    # psi(t_star) among off-lattice targets, summed per entry, against
+    # psi(t_star) alone, on the lattice path
+    phi = pr.history.caputo_samples(alpha)
+    ts = np.linspace(0.0, 1.0, 129)[48:]
+    assert cauchy._lattice_start(phi, ts) is None
+    assert cauchy._lattice_start(phi, ts[:1]) == 0
+    at_star = _psi_defining(phi, alpha, ts[:1])[0]
+    got = _psi_defining(phi, alpha, ts)[0]
+    assert np.abs(got - at_star).max() <= 1e-14 * np.abs(at_star).max()
+
+
 def test_psi_star_guards():
     hist = _unit_density_history()
     bad_target = GridFn(0.6, 1.0, 4, np.zeros((5, 1)))

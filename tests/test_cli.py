@@ -305,6 +305,93 @@ def test_samples_presets(tmp_path):
     assert side["residual"] < 1e-10
 
 
+@pytest.mark.parametrize("key", ["A", "b"])
+def test_samples_short_of_the_window_rejected(tmp_path, capsys, key):
+    # samples on [0, 0.5] for a problem on [0, 1] are not extrapolated
+    t = np.linspace(0.0, 0.5, 9)
+    vals = (1.0 + t).reshape(9, 1, 1) if key == "A" else (1.0 + t)[:, None]
+    write_csv(GridFn(0.0, 0.5, 8, vals), tmp_path / "short.csv")
+    cfg = _write_config(tmp_path, **{key: {"preset": "samples",
+                                           "path": "short.csv"}})
+    out = tmp_path / "o.csv"
+    assert main(["solve", "--config", str(cfg), "--method", "direct",
+                 "--out", str(out)]) == 2
+    assert "[0.0, 0.5]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _unit_density_run(tmp_path, theta, N):
+    """w = t^alpha / Gamma(1 + alpha) and its Caputo density 1 on [0, theta]."""
+    t = np.linspace(0.0, theta, N + 1)
+    write_csv(GridFn(0.0, theta, N, t[:, None] ** 0.5 / gamma(1.5)),
+              tmp_path / "w.csv")
+    write_csv(GridFn(0.0, theta, N, np.ones((N + 1, 1))), tmp_path / "phi.csv")
+
+
+@pytest.mark.parametrize("history", [
+    {"w_star_csv": "w.csv", "t_star": 0.75},
+    {"w_star_csv": "w.csv", "t_star": 0.3},
+    {"generator": {"w0": [0.0], "phi_csv": "phi.csv"}, "t_star": 0.75},
+], ids=["past-end-csv", "off-node-csv", "past-end-generator"])
+def test_t_star_off_the_history_rejected(tmp_path, capsys, history):
+    # the CSVs span [0, 0.5] in 32 steps: t_star 0.3 is no node of them
+    _unit_density_run(tmp_path, 0.5, 32)
+    cfg = _write_config(tmp_path, b={"preset": "zero"}, history=history)
+    out = tmp_path / "o.csv"
+    assert main(["solve", "--config", str(cfg), "--method", "direct",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "history.t_star" in err and "[0.0, 0.5]" in err
+    assert not out.exists()
+
+
+def test_segment_without_t_star_rejected(tmp_path, capsys):
+    # cut at t0, the segment would shrink to its first row without a word
+    _unit_density_run(tmp_path, 0.5, 32)
+    cfg = _write_config(tmp_path, history={"w_star_csv": "w.csv",
+                                           "caputo_csv": "phi.csv"})
+    out = tmp_path / "o.csv"
+    assert main(["solve", "--config", str(cfg), "--method", "direct",
+                 "--out", str(out)]) == 2
+    assert "history.t_star" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generator_cut_at_t_star(tmp_path):
+    # a density on [0, 0.5] cut at t_star 0.25 gives the very bytes of a
+    # density that stops at 0.25
+    write_csv(GridFn(0.0, 0.5, 32, np.cos(np.linspace(0.0, 0.5, 33))[:, None]),
+              tmp_path / "phi.csv")
+    write_csv(GridFn(0.0, 0.25, 16, np.cos(np.linspace(0.0, 0.25, 17))[:, None]),
+              tmp_path / "phi_short.csv")
+    outs = []
+    for name, history in [
+            ("cut", {"generator": {"w0": [1.0], "phi_csv": "phi.csv"},
+                     "t_star": 0.25}),
+            ("short", {"generator": {"w0": [1.0], "phi_csv": "phi_short.csv"}})]:
+        cfg = _write_config(tmp_path, name=f"{name}.json",
+                            A={"preset": "constant", "matrix": [[-1.0]]},
+                            history=history)
+        outs.append(tmp_path / f"{name}.csv")
+        assert main(["solve", "--config", str(cfg), "--method", "direct",
+                     "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_full_run_segment_and_density_cut_together(tmp_path):
+    # both full-run CSVs are cut at t_star, so they still share one grid; with
+    # b = 1 the solution goes on as w
+    _unit_density_run(tmp_path, 1.0, 64)
+    cfg = _write_config(tmp_path, history={
+        "w_star_csv": "w.csv", "caputo_csv": "phi.csv", "t_star": 0.5})
+    out = tmp_path / "o.csv"
+    assert main(["solve", "--config", str(cfg), "--method", "direct",
+                 "--out", str(out)]) == 0
+    x = read_csv(out)
+    np.testing.assert_allclose(x.values, x.t ** 0.5 / gamma(1.5),
+                               rtol=0, atol=1e-12)
+
+
 # ----------------------------------------------------------- fundamental
 
 

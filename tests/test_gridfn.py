@@ -53,6 +53,18 @@ def test_sample_degenerate_broadcasts():
     assert np.all(out == [3.0, 4.0])
 
 
+def test_sample_outside_the_interval_raises():
+    g = GridFn(0.0, 1.0, 4, np.arange(5.0))
+    with pytest.raises(DomainError, match=r"\[0.0, 1.0\]"):
+        g.sample(np.array([0.5, 1.0 + g.h / 2]))
+    with pytest.raises(DomainError):
+        g.sample(-g.h / 2)
+    assert g.sample(1.0) == 4.0
+    np.testing.assert_array_equal(g.sample(np.linspace(0.0, 1.0, 5)), g.values)
+    # a point that misses the end by a rounding error is still inside
+    assert g.sample(1.0 + 1e-15) == pytest.approx(4.0)
+
+
 def test_prefix_cuts_on_node():
     g = GridFn(0.0, 1.0, 4, np.arange(5.0))
     p = g.prefix(0.5)
