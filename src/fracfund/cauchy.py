@@ -64,7 +64,7 @@ class Solution:
     meta: dict
 
     def write_csv(self, path):
-        self.x.to_csv(path, label="x")
+        return self.x.to_csv(path, label="x")
 
     def sidecar(self):
         """Metadata record for the companion file next to the CSV."""

@@ -2,7 +2,9 @@
 
 Exit codes are part of the contract: 0 success, 1 verification failure,
 2 config error, 3 numerical error, 4 method precondition violated. A
-failed write, such as a field CSV export whose formatting fails, exits 2.
+`fundamental` or `solve` whose result is not finite exits 3 and writes no
+CSV. A failed write, such as a field CSV export whose formatting fails,
+exits 2. `fundamental` always marches the field.
 """
 
 import argparse
@@ -20,7 +22,7 @@ from .checks import all_pass, run_suite
 from .errors import (GridMismatchError, NonConvergenceError,
                      PreconditionError, ProblemSpecError, SingularSystemError,
                      ToleranceNotMetError)
-from .fundamental import TriangleGrid, solve_F, solve_F_picard
+from .fundamental import TriangleGrid, solve_F
 from .gridfn import read_csv
 from .problem import CauchyProblem, Coefficient, Forcing, History
 from .special import ml_scalar
@@ -34,11 +36,6 @@ EXIT_PRECONDITION = 4
 
 def _resolve(path, base_dir):
     return path if os.path.isabs(path) else os.path.join(base_dir, path)
-
-
-def _load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh), os.path.dirname(os.path.abspath(path))
 
 
 def _scalar(raw, name):
@@ -122,14 +119,14 @@ def _history(spec, alpha, t0, n, base_dir):
 
 
 def load_problem(cfg, base_dir):
-    """Build (problem, grid_N, tolerances) from a parsed config mapping."""
+    """Build (problem, grid_N) from a parsed config mapping."""
     if not isinstance(cfg, dict):
         raise ProblemSpecError("the config must be a JSON object")
     alpha = _scalar(cfg["alpha"], "alpha")
     t0 = _scalar(cfg.get("t0", 0.0), "t0")
     theta = _scalar(cfg["theta"], "theta")
     n = _integer(cfg["n"], "n")
-    for key in ("A", "b", "history", "tolerances"):
+    for key in ("A", "b", "history"):
         if not isinstance(cfg.get(key, {}), dict):
             raise ProblemSpecError(f"{key} must be a JSON object")
     A = _node_function(Coefficient, cfg.get("A", {"preset": "zero"}), n, base_dir)
@@ -138,38 +135,42 @@ def load_problem(cfg, base_dir):
     grid_N = _integer(cfg.get("grid_N", 512), "grid_N")
     if grid_N < 8:
         raise ProblemSpecError("grid_N must be at least 8")
-    tolerances = dict(cfg.get("tolerances", {}))
-    problem = CauchyProblem(alpha, t0, theta, A, b, history)
-    return problem, grid_N, tolerances
+    return CauchyProblem(alpha, t0, theta, A, b, history), grid_N
 
 
 def _load(args):
-    """Config, problem, grid size and tolerances; grid_N also goes on args."""
-    cfg, base_dir = _load_config(args.config)
-    problem, args.grid_N, tolerances = load_problem(cfg, base_dir)
-    return cfg, problem, args.grid_N, tolerances
+    """Problem and grid size from the config file; grid_N also goes on args."""
+    with open(args.config, "r", encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    base_dir = os.path.dirname(os.path.abspath(args.config))
+    problem, args.grid_N = load_problem(cfg, base_dir)
+    return problem, args.grid_N
 
 
-def _write_sidecar(path, payload):
-    with open(str(path) + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+def _export(args, result, values, size, sidecar):
+    """Write result's CSV to args.out, then its sidecar with the export's
+    time, process count and bytes. Unless values holds size finite numbers,
+    refuse first, with nothing written."""
+    if np.count_nonzero(np.isfinite(values)) != size:
+        raise FloatingPointError(
+            f"non-finite result at grid_N = {args.grid_N}; nothing written")
+    start = time.perf_counter()
+    procs = result.write_csv(args.out)
+    export = {"write_s": time.perf_counter() - start, "write_procs": procs,
+              "csv_bytes": os.path.getsize(args.out)}
+    with open(str(args.out) + ".meta.json", "w", encoding="utf-8") as fh:
+        json.dump({**sidecar, **export}, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return EXIT_OK
 
 
 def cmd_fundamental(args):
-    cfg, problem, grid_N, tolerances = _load(args)
-    grid = TriangleGrid(problem.t0, problem.theta, grid_N)
-    if cfg.get("field_method", "march") == "picard":
-        field = solve_F_picard(problem, grid,
-                               tol=float(tolerances.get("picard_tol", 1e-10)))
-    else:
-        field = solve_F(problem, grid)
-    start = time.perf_counter()
-    procs = field.write_csv(args.out)
-    export = {"write_s": time.perf_counter() - start, "write_procs": procs,
-              "csv_bytes": os.path.getsize(args.out)}
-    _write_sidecar(args.out, {"alpha": problem.alpha, **field.meta, **export})
-    return EXIT_OK
+    problem, grid_N = _load(args)
+    field = solve_F(problem, TriangleGrid(problem.t0, problem.theta, grid_N))
+    # the triangle j <= i holds n^2 (N+1)(N+2)/2 entries; NaN fills the rest
+    size = field.n ** 2 * (grid_N + 1) * (grid_N + 2) // 2
+    return _export(args, field, field.planes, size,
+                   {"alpha": problem.alpha, **field.meta})
 
 
 _SOLVERS = {
@@ -181,25 +182,19 @@ _SOLVERS = {
 
 
 def cmd_solve(args):
-    _, problem, grid_N, _ = _load(args)
+    problem, grid_N = _load(args)
     if args.method == "direct":
         sol = solve_direct(problem, grid_N)
     else:
         grid = TriangleGrid(problem.t0, problem.theta, grid_N)
-        field = solve_F(problem, grid)
-        sol = _SOLVERS[args.method](problem, field)
-    if not np.isfinite(sol.x.values).all():
-        raise FloatingPointError(
-            f"non-finite solution at grid_N = {grid_N}; nothing written")
-    sol.write_csv(args.out)
-    _write_sidecar(args.out, sol.sidecar())
-    return EXIT_OK
+        sol = _SOLVERS[args.method](problem, solve_F(problem, grid))
+    return _export(args, sol, sol.x.values, sol.x.values.size, sol.sidecar())
 
 
 def cmd_verify(args):
     import mpmath  # the suite loads it anyway, for the R operator's kernel
 
-    _, problem, grid_N, _ = _load(args)
+    problem, grid_N = _load(args)
     records, phases = run_suite(problem, grid_N)
     ok = all_pass(records)
     environment = {"python": ".".join(map(str, sys.version_info[:3])),

@@ -121,15 +121,15 @@ class AprioriBounds:
     H_F: float
 
 
-def bounds(problem: CauchyProblem, num_samples=513) -> AprioriBounds:
+def bounds(problem: CauchyProblem) -> AprioriBounds:
     """Sup bound M_F and two-variable Hoelder bound H_F for the field.
 
-    M_A is the max over sample nodes of the max-row-sum norm of A. kappa is
+    M_A is the max over 513 sample nodes of the max-row-sum norm of A. kappa is
     fixed so the weighted-norm contraction factor is exactly 1/2 (any positive
     choice with factor < 1 works; a fixed rule keeps the bounds reproducible).
     """
     c = op_constants(problem.alpha)
-    ts = np.linspace(problem.t0, problem.theta, num_samples)
+    ts = np.linspace(problem.t0, problem.theta, 513)
     M_A = float(np.abs(problem.A.at(ts)).sum(axis=2).max())
     alpha = problem.alpha
     span = problem.theta - problem.t0

@@ -84,8 +84,8 @@ class GridFn:
         b_new = float(self.t[ki]) if ki else self.a
         return GridFn(self.a, b_new, ki, self.values[: ki + 1].copy())
 
-    def to_csv(self, path, label="v") -> None:
-        write_csv(self, path, label)
+    def to_csv(self, path, label="v") -> int:
+        return write_csv(self, path, label)
 
 
 # rows formatted by one % each time the CSV writer formats
@@ -166,13 +166,14 @@ def write_table(path, header, nrows, rows, formats=None) -> int:
     return procs
 
 
-def write_csv(fn: GridFn, path, label="v") -> None:
+def write_csv(fn: GridFn, path, label="v") -> int:
     """Serialize node values: header t,<label>_1,...,<label>_k, 17 significant
-    digits so reloading reproduces the doubles exactly."""
+    digits so reloading reproduces the doubles exactly. Returns write_table's
+    process count."""
     k = fn.components
     header = "t," + ",".join(f"{label}_{i + 1}" for i in range(k))
     table = np.column_stack([fn.t, fn.values.reshape(fn.N + 1, k)])
-    write_table(path, header, fn.N + 1, lambda r0, r1: table[r0:r1])
+    return write_table(path, header, fn.N + 1, lambda r0, r1: table[r0:r1])
 
 
 def read_csv(path, value_shape=None) -> GridFn:

@@ -204,12 +204,3 @@ def left_moments_at(alpha: float, nodes: np.ndarray, t):
     w[..., 1:] += near
     return w
 
-
-def hypersingular_tail_weights(alpha: float, nodes: np.ndarray, t) -> np.ndarray:
-    """Hat moments of (t - xi)^(-1-alpha) over `nodes`, for t > nodes[-1].
-
-    The integral is proper because t stays strictly beyond the node range.
-    Exact for piecewise-linear data; closed forms only.  An array of targets
-    t gives one weight row per target.
-    """
-    return left_moments_at(-alpha, nodes, t)

@@ -140,8 +140,9 @@ def mittag_leffler(params: MLParams, Z: np.ndarray) -> np.ndarray:
     )
 
 
-def ml_scalar(alpha: float, z: complex, beta: float = 1.0, tol: float = 1e-14) -> complex:
-    """Scalar convenience wrapper around :func:`mittag_leffler`.
+def ml_scalar(alpha: float, z: complex, beta: float = 1.0) -> complex:
+    """Scalar convenience wrapper around :func:`mittag_leffler`, at
+    MLParams' default tolerance 1e-14.
 
     alpha = beta = 1 is the exponential identically and is evaluated through
     it, which keeps all printable digits of the result exact.
@@ -150,6 +151,6 @@ def ml_scalar(alpha: float, z: complex, beta: float = 1.0, tol: float = 1e-14) -
         if np.iscomplexobj(z) or isinstance(z, complex):
             return cmath.exp(complex(z))
         return math.exp(float(z))
-    out = mittag_leffler(MLParams(alpha=alpha, beta=beta, tol=tol), np.array([[z]]))
+    out = mittag_leffler(MLParams(alpha=alpha, beta=beta), np.array([[z]]))
     val = out[0, 0]
     return val if np.iscomplexobj(out) else float(val)

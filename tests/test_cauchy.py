@@ -35,9 +35,8 @@ from fracfund.cauchy import (METHOD_DIRECT, _formula_rows, _psi_defining,
 from fracfund.cli import main
 from fracfund.fundamental import _ROWS
 from fracfund.quadrules import (SINGULAR_NODES, first_interval_moments,
-                                hat_moment_tables, hypersingular_tail_weights,
-                                jacobi_rule_01, left_moment_weights,
-                                left_moments_at)
+                                hat_moment_tables, jacobi_rule_01,
+                                left_moment_weights, left_moments_at)
 
 # frozen with mpmath (30 digits): modified forcing for the segment
 # w(tau) = tau^0.5 / gamma(1.5) on [0, 0.5], zero base forcing, alpha = 0.5
@@ -286,7 +285,7 @@ def test_off_lattice_history_sums_per_entry(alpha):
         cauchy._history_integrals(seg, alpha, ts),
         left_moments_at(alpha, seg.t, ts) @ seg.values / gamma(alpha))
     dw = seg.values - seg.values[0]
-    tail = hypersingular_tail_weights(alpha, seg.t, ts[1:]) @ dw
+    tail = left_moments_at(-alpha, seg.t, ts[1:]) @ dw
     psi = _psi_from_history(seg, alpha, ts)
     np.testing.assert_array_equal(psi[0], dw[-1] / gamma(1.0 - alpha))
     np.testing.assert_array_equal(

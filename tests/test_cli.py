@@ -99,9 +99,8 @@ def test_non_finite_or_fractional_input_rejected(tmp_path, overrides):
 
 @pytest.mark.parametrize("config, key", [
     ([0.5, 1.0], "config"),
-    ({"tolerances": [1]}, "tolerances"),
     ({"history": {"generator": [1], "t_star": 0.5}}, "history.generator"),
-], ids=["list-config", "list-tolerances", "list-generator"])
+], ids=["list-config", "list-generator"])
 def test_misshapen_section_named(tmp_path, capsys, config, key):
     if isinstance(config, dict):
         cfg = _write_config(tmp_path, **config)
@@ -227,6 +226,7 @@ def test_solve_direct_known_solution(tmp_path):
     assert side["method"] == "direct"
     assert side["N"] == 64
     assert side["residual"] < 1e-10
+    assert side["write_procs"] >= 1 and side["csv_bytes"] == out.stat().st_size
 
 
 def test_gc_routes_collapse_to_pc_bytes(tmp_path):
@@ -460,15 +460,18 @@ def test_out_of_memory_is_a_numerical_error(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-def test_fundamental_picard_method(tmp_path):
-    cfg = _write_config(tmp_path, n=2, A={"preset": "rotation"},
-                        b={"preset": "zero"}, history={"w0": [1.0, 0.0]},
-                        grid_N=16, field_method="picard")
-    out = tmp_path / "p.csv"
-    assert main(["fundamental", "--config", str(cfg), "--out", str(out)]) == 0
-    side = json.loads((tmp_path / "p.csv.meta.json").read_text())
-    assert side["method"] == "picard"
-    assert side["iterations"] >= 1
+def test_non_finite_field_is_not_written(tmp_path, capsys):
+    # F grows like E_{1/2}(15 t^{1/2}) and overflows long before theta = 5
+    cfg = _write_config(tmp_path, theta=5.0,
+                        A={"preset": "constant", "matrix": [[15.0]]},
+                        grid_N=512)
+    out = tmp_path / "field.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = main(["fundamental", "--config", str(cfg), "--out", str(out)])
+    assert rc == 3
+    assert "grid_N = 512" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 # ---------------------------------------------------------------- verify

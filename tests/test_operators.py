@@ -31,7 +31,6 @@ from fracfund.oracle import QuadSpec, adaptive_quad
 from fracfund.quadrules import (
     first_interval_moments,
     hat_moment_tables,
-    hypersingular_tail_weights,
     jacobi_rule_01,
     left_moment_weights,
     left_moments_at,
@@ -385,7 +384,7 @@ def test_hypersingular_tail_vs_quad():
     alpha = 0.5
     nodes = np.linspace(0.0, 0.5, 11)
     t = 0.7
-    w = hypersingular_tail_weights(alpha, nodes, t)
+    w = left_moments_at(-alpha, nodes, t)
     got = w @ nodes  # affine data, exact for the weights
 
     ref = adaptive_quad(
@@ -512,11 +511,11 @@ def test_weight_tables_match_row_builders(N, alpha):
     nodes = 0.1 + h * np.arange(N + 1)
     targets = nodes[-1] + h * np.array([0.3, 1.0, 2.5, 17.0])
     block_at = left_moments_at(alpha, nodes, targets)
-    block_tail = hypersingular_tail_weights(alpha, nodes, targets)
+    block_tail = left_moments_at(-alpha, nodes, targets)
     for i, t in enumerate(targets):
         for got in (left_moments_at(alpha, nodes, t), block_at[i]):
             assert np.array_equal(got, _reference_left_at(alpha, nodes, t))
-        for got in (hypersingular_tail_weights(alpha, nodes, t), block_tail[i]):
+        for got in (left_moments_at(-alpha, nodes, t), block_tail[i]):
             assert np.array_equal(got, _reference_tail(alpha, nodes, t))
     assert np.array_equal(left_moments_at(alpha, nodes, nodes[-1]),
                           _reference_left_at(alpha, nodes, nodes[-1]))
