@@ -10,19 +10,20 @@ bound holds with margin on every probed point.
 from __future__ import annotations
 
 import time
+from itertools import combinations
 
 import numpy as np
 
 from .cauchy import (METHOD_DIRECT, _star_index, b_star, psi_star,
                      represent_gc, represent_gc_compact, represent_pc,
                      solve_direct)
-from .fundamental import TriangleGrid, bounds, solve_F, solve_G_dual
+from .fundamental import TriangleGrid, _field_rows, bounds, solve_F
 from .gridfn import GridFn
 from .operators import (caputo_derivative, fractional_integral, j_operator,
                         op_constants, r_operator)
 from .oracle import constant_coeff_F
 from .problem import CauchyProblem, History
-from .quadrules import left_moment_weights
+from .quadrules import hat_moment_tables, left_moment_weights
 from .special import MLParams, gamma, mittag_leffler, ml_scalar
 
 SLACK = 1.05
@@ -60,7 +61,7 @@ def special_checks(alpha):
     out.append(_record("ml_exp_identity", np.abs(e - np.exp(z)).max(), 1e-10))
     pairs = [(a, b) for a in (0.3, 0.5, alpha, 1.0)
              for b in (0.5, 1.0, alpha + 0.5)]
-    dev = max(abs(ml_scalar(a, 0.0, b) - 1.0 / gamma(b)) for a, b in pairs)
+    dev = np.max([abs(ml_scalar(a, 0.0, b) - 1.0 / gamma(b)) for a, b in pairs])
     out.append(_record("ml_at_zero", dev, 1e-13))
     return out
 
@@ -163,7 +164,7 @@ def field_checks(problem, field, apb):
         allowed = np.full(sep.shape, np.inf)
         pos = sep > 0.0
         allowed[pos] = SLACK * apb.H_F * sep[pos]
-        worst = max(worst, (lhs - allowed).max())
+        worst = np.maximum(worst, (lhs - allowed).max())
     out.append(_record("bound_field_hoelder", worst, 0.0))
     return out
 
@@ -200,18 +201,25 @@ def run_suite(problem: CauchyProblem, grid_N: int):
     records += field_checks(problem, field, apb)
     lap("field")
 
-    dual = solve_G_dual(problem, grid)
-    records.append(_record(
-        "duality", np.nanmax(np.abs(field.values - dual.values)), 5e-3))
+    # the dual equation, F(t_{j+k}, t_j) = Id/Gamma(alpha) + c_k sum_m T[k, m]
+    # F(t_{j+k}, t_{j+m}) A_{j+m} with the march's c_k and T, at four columns
+    T = hat_moment_tables(N, alpha - 1.0, alpha - 1.0)
+    Anodes, ga = problem.A.at(grid.t), gamma(alpha)
+    c = (np.arange(N + 1) * grid.h) ** alpha / ga
+    dev = [np.abs(field.values[j:, j] - np.eye(problem.n) / ga
+                  - c[:N + 1 - j, None, None]
+                  * _field_rows(field, j, [(T, Anodes[j:])])).max()
+           for j in (0, N // 4, N // 2, 3 * N // 4)]
+    records.append(_record("duality", np.max(dev), 5e-3))
     lap("dual")
 
     A0 = _constant_matrix(problem)
     if A0 is not None:
         idx = np.unique(np.linspace(0, N, 65).astype(int))
-        dev = max(
+        dev = np.max([
             np.abs(field.values[i, 0]
                    - constant_coeff_F(A0, alpha, i * grid.h)).max()
-            for i in idx)
+            for i in idx])
         records.append(_record("field_vs_constant_oracle", dev, 5e-3))
     lap("field")
 
@@ -223,13 +231,8 @@ def run_suite(problem: CauchyProblem, grid_N: int):
     sols["repr_gc_compact"] = represent_gc_compact(problem, field)
 
     k0 = _star_index(problem, N)
-    names = list(sols)
-    worst = 0.0
-    for a in range(len(names)):
-        for b in range(a + 1, len(names)):
-            d = np.abs(sols[names[a]].x.values[k0:]
-                       - sols[names[b]].x.values[k0:]).max()
-            worst = max(worst, d)
+    xs = [sol.x.values[k0:] for sol in sols.values()]
+    worst = np.max([np.abs(x - y).max() for x, y in combinations(xs, 2)])
     records.append(_record("method_equivalence", worst,
                            EQUIV_TOL_PC if at_start else EQUIV_TOL_GC))
 
@@ -239,8 +242,8 @@ def run_suite(problem: CauchyProblem, grid_N: int):
 
     t = np.linspace(problem.t0, problem.theta, N + 1)
     prefix_ref = problem.history.w_star.sample(t[:k0 + 1])
-    dev = max(np.abs(sol.x.values[:k0 + 1] - prefix_ref).max()
-              for sol in sols.values())
+    dev = np.max([np.abs(sol.x.values[:k0 + 1] - prefix_ref).max()
+                  for sol in sols.values()])
     records.append(_record("initial_condition_prefix", dev, 1e-12))
     lap("solutions")
 

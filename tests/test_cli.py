@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import fracfund
-from fracfund import (GridFn, checks, cli, gamma, gridfn, read_csv, special,
-                      write_csv)
+from fracfund import (GridFn, checks, cli, fundamental, gamma, gridfn,
+                      read_csv, special, write_csv)
 from fracfund.cli import main
 from fracfund.quadrules import jacobi_rule_01
 
@@ -523,6 +523,66 @@ def test_verify_runs_r_operator_once(tmp_path, monkeypatch):
     report = tmp_path / "report.json"
     assert main(["verify", "--config", str(cfg), "--report", str(report)]) == 0
     assert len(calls) == 1
+
+
+# the config of the README's "Command line" section
+README_CONFIG = {
+    "alpha": 0.5, "t0": 0.0, "theta": 1.0, "n": 2,
+    "A": {"preset": "cosine", "matrix": [[0, 1], [-1, 0]], "omega": 4.0},
+    "b": {"preset": "constant", "vector": [0.0, 1.0]},
+    "history": {"w0": [1.0, 0.0]}, "grid_N": 512,
+}
+
+
+def test_verify_marches_one_field(tmp_path, monkeypatch):
+    calls = []
+    march = fundamental._field_march
+
+    def counted(*args):
+        calls.append(args)
+        return march(*args)
+
+    monkeypatch.setattr(fundamental, "_field_march", counted)
+    cfg = _write_config(tmp_path, **README_CONFIG)
+    report = tmp_path / "report.json"
+    assert main(["verify", "--config", str(cfg), "--report", str(report)]) == 0
+    assert len(calls) == 1
+
+
+def test_march_defect_fails_duality(monkeypatch):
+    # a defect in the march itself, which a second (dual) march would share
+    problem, N = cli.load_problem(README_CONFIG, ".")
+
+    def duality():
+        records, _ = checks.run_suite(problem, N)
+        return {r["name"]: r for r in records}["duality"]
+
+    assert duality()["pass"]  # measured 3.8e-4
+    march = fundamental._field_march
+
+    def scaled(*args):
+        planes, phases = march(*args)
+        planes[:, :, ~np.eye(planes.shape[-1], dtype=bool)] *= 1.03
+        return planes, phases
+
+    monkeypatch.setattr(fundamental, "_field_march", scaled)
+    assert not duality()["pass"]  # measured 1.7e-2
+
+
+def test_verify_fails_non_finite_solutions(tmp_path):
+    # the field and every solution hold inf and NaN; no maximum may drop them
+    cfg = _write_config(tmp_path, theta=5.0, b={"preset": "zero"},
+                        A={"preset": "cosine", "matrix": [[15.0]],
+                           "omega": 0.01},
+                        history={"w0": [1.0]}, grid_N=512)
+    report = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = main(["verify", "--config", str(cfg), "--report", str(report)])
+    assert rc == 1
+    by_name = {r["name"]: r for r in json.loads(report.read_text())["checks"]}
+    for name in ("method_equivalence", "duality", "bound_field_hoelder"):
+        assert not by_name[name]["pass"]
 
 
 def test_ml_exp_identity_evaluates_the_series(monkeypatch):
