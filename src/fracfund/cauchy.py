@@ -101,11 +101,12 @@ def _prefix_values(problem, t, k0):
 
 def _lattice_start(seg: GridFn, ts):
     """Offset k when ts = seg.b + (k + i) seg.h for i = 0, 1, ..., with
-    k >= 0; None when the targets are off the segment's lattice."""
+    k >= 0 a whole number of steps or, on the lattice shifted by seg.h/2, a
+    half one; None when the targets are off both."""
     if seg.N < 1 or len(ts) == 0:
         return None
     pos = (ts - seg.b) / seg.h
-    k = round(float(pos[0]))
+    k = round(2.0 * float(pos[0])) / 2.0
     if k < 0 or np.abs(pos - (k + np.arange(len(ts)))).max() > _LATTICE_TOL:
         return None
     return k
@@ -123,13 +124,13 @@ def _moment_sums(p, seg: GridFn, ts, values):
     component.  Elsewhere each (target, node) weight is its own closed form.
     """
     k = _lattice_start(seg, ts)
-    if k is None or (k == 0 and p <= 0):
+    if k is None or k % 1 or (k == 0 and p <= 0):
         out = np.empty((len(ts), values.shape[1]))
         for lo in range(0, len(ts), _PSI_CHUNK):
             w = left_moments_at(p, seg.t, ts[lo:lo + _PSI_CHUNK])
             out[lo:lo + _PSI_CHUNK] = w @ values
         return out
-    K, nt = seg.N, len(ts)
+    K, nt, k = seg.N, len(ts), int(k)
     # entry e of the profile is the interval whose far node is k + 1 + e
     # steps before the first target
     far, near = lattice_hat_moments(p, seg.h, K + k + nt - 1, k)
@@ -235,8 +236,10 @@ def _smooth_panel_sums(phi: GridFn, alpha, ts):
     On the segment's lattice, ts = t_star + (k + r) hh for r = 0..nt-1, the
     node u_q of panel i lies m - u_q steps before target r, with
     m = Nh + k + r - i, so each node q is one convolution of the kernel
-    1/((m - u_q) hh) with its column of weighted values.  Elsewhere each
-    (target, node) entry is summed on its own, _PSI_CHUNK targets at a time.
+    1/((m - u_q) hh) with its column of weighted values.  k may be a half
+    step, and targets hh/2 apart are two such runs, the even ones and the odd
+    ones.  Elsewhere each (target, node) entry is summed on its own,
+    _PSI_CHUNK targets at a time.
     """
     Nh, hh, n = phi.N, phi.h, phi.value_shape[0]
     out = np.zeros((len(ts), n))
@@ -246,8 +249,10 @@ def _smooth_panel_sums(phi: GridFn, alpha, ts):
     base = phi.a + (np.arange(Nh - 1)[:, None] + u[None, :]) * hh
     wts = w[None, :] * hh * (phi.b - base) ** alpha
     fvals = phi.sample(base)
-    k = _lattice_start(phi, ts)
-    if k is None:
+    runs = [(slice(None), _lattice_start(phi, ts))]
+    if runs[0][1] is None and len(ts) > 1:
+        runs = [(slice(s, None, 2), _lattice_start(phi, ts[s::2])) for s in (0, 1)]
+    if any(k is None for _, k in runs):
         pts, wts, fvals = base.ravel(), wts.ravel(), fvals.reshape(-1, n)
         for lo in range(0, len(ts), _PSI_CHUNK):
             # the kernel is built in place: one block-sized temporary
@@ -256,11 +261,13 @@ def _smooth_panel_sums(phi: GridFn, alpha, ts):
             out[lo:lo + _PSI_CHUNK] = kern @ fvals
         return out
     data = wts[..., None] * fvals
-    m = k + 2 + np.arange(Nh + len(ts) - 2, dtype=float)
-    kern = 1.0 / ((m - u[:, None]) * hh)
-    for q in range(SMOOTH_NODES):
-        for c in range(n):
-            out[:, c] += np.convolve(kern[q], data[:, q, c], "valid")
+    for sl, k in runs:
+        run = out[sl]
+        m = k + 2 + np.arange(Nh + len(run) - 2, dtype=float)
+        kern = 1.0 / ((m - u[:, None]) * hh)
+        for q in range(SMOOTH_NODES):
+            for c in range(n):
+                run[:, c] += np.convolve(kern[q], data[:, q, c], "valid")
     return out
 
 

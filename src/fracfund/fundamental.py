@@ -12,7 +12,6 @@ from the coefficient's sup norm.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import time
 from dataclasses import dataclass, field as _dcfield
@@ -160,16 +159,10 @@ _BLOCK = 64
 _SUB = 8
 
 
-@contextlib.contextmanager
-def _elimination_errors():
-    """An invalid floating-point operation raises LinAlgError."""
-    with np.errstate(invalid="raise", over="ignore", divide="ignore",
-                     under="ignore"):
-        try:
-            yield
-        except FloatingPointError:
-            raise np.linalg.LinAlgError(
-                "invalid value in the elimination") from None
+# the elimination's error state: only an invalid operation raises
+_INVALID_RAISES = {"invalid": "raise", "over": "ignore", "divide": "ignore",
+                   "under": "ignore"}
+_INVALID = "invalid value in the elimination"
 
 
 def _factor(LU):
@@ -185,21 +178,24 @@ def _factor(LU):
     """
     n, B = LU.shape[0], LU.shape[-1]
     swaps = []
-    with _elimination_errors():
-        for c in range(n):
-            size = np.abs(LU[c:, c])
-            p, top = np.zeros(B, np.intp), size[0]
-            for r in range(1, n - c):
-                p[size[r] > top] = r
-                top = np.maximum(top, size[r])
-            swap = np.flatnonzero(p)
-            rows = p[swap] + c
-            LU[c, :, swap], LU[rows, :, swap] = LU[rows, :, swap], LU[c, :, swap]
-            swaps.append((swap, rows))
-            if not LU[c, c].all():
-                raise np.linalg.LinAlgError("Singular matrix")
-            LU[c + 1:, c] /= LU[c, c]
-            LU[c + 1:, c + 1:] -= LU[c + 1:, c, None] * LU[c, c + 1:]
+    try:
+        with np.errstate(**_INVALID_RAISES):
+            for c in range(n):
+                size = np.abs(LU[c:, c])
+                p, top = np.zeros(B, np.intp), size[0]
+                for r in range(1, n - c):
+                    p[size[r] > top] = r
+                    top = np.maximum(top, size[r])
+                swap = np.flatnonzero(p)
+                rows = p[swap] + c
+                LU[c, :, swap], LU[rows, :, swap] = LU[rows, :, swap], LU[c, :, swap]
+                swaps.append((swap, rows))
+                if not LU[c, c].all():
+                    raise np.linalg.LinAlgError("Singular matrix")
+                LU[c + 1:, c] /= LU[c, c]
+                LU[c + 1:, c + 1:] -= LU[c + 1:, c, None] * LU[c, c + 1:]
+    except FloatingPointError:
+        raise np.linalg.LinAlgError(_INVALID) from None
     return swaps
 
 
@@ -208,18 +204,21 @@ def _substitute(LU, swaps, X, first=0):
     its swaps, forward elimination, then back substitution, with _factor's
     arithmetic and errors."""
     n, LU = LU.shape[0], LU[:, :, first:first + X.shape[-1]]
-    with _elimination_errors():
-        for c, (swap, rows) in enumerate(swaps):
-            if swap.size:
-                lo, hi = np.searchsorted(swap, [first, first + X.shape[-1]])
-                s, r = swap[lo:hi] - first, rows[lo:hi]
-                X[c, :, s], X[r, :, s] = X[r, :, s], X[c, :, s]
-        for c in range(n - 1):
-            X[c + 1:] -= LU[c + 1:, c, None] * X[c]
-        for c in range(n - 1, -1, -1):
-            X[c] /= LU[c, c]
-            if c:
-                X[:c] -= LU[:c, c, None] * X[c]
+    try:
+        with np.errstate(**_INVALID_RAISES):
+            for c, (swap, rows) in enumerate(swaps):
+                if swap.size:
+                    lo, hi = np.searchsorted(swap, [first, first + X.shape[-1]])
+                    s, r = swap[lo:hi] - first, rows[lo:hi]
+                    X[c, :, s], X[r, :, s] = X[r, :, s], X[c, :, s]
+            for c in range(n - 1):
+                X[c + 1:] -= LU[c + 1:, c, None] * X[c]
+            for c in range(n - 1, -1, -1):
+                X[c] /= LU[c, c]
+                if c:
+                    X[:c] -= LU[:c, c, None] * X[c]
+    except FloatingPointError:
+        raise np.linalg.LinAlgError(_INVALID) from None
 
 
 def _march(Anodes, tables, c, rhs, AX0, store):
@@ -238,22 +237,23 @@ def _march(Anodes, tables, c, rhs, AX0, store):
     AX[m, a, b, j] is entry (a, b) of A_{j+m} X_{m,j}. Before step m, row
     m of AX gathers its right-hand side; the step solves for X there, hands
     it to store and replaces it by A X. In the block of steps from k0 on,
-    the terms m < k0 come from one GEMM per entry at its start; in its
-    sub-block from s0 on, whose systems are factored together first
-    (_factor; each step then only substitutes), the terms k0 <= m < s0 come
+    the terms m < k0 come from one GEMM per entry at its start, and its
+    systems are factored together first (_factor; each step then only
+    substitutes); in its sub-block from s0 on, the terms k0 <= m < s0 come
     from one GEMM per entry; only s0 <= m < k are summed step by step. Row
     m keeps partial sums past its last column, K - m; they only reach
-    columns that no later step reads.
+    columns that no later step reads. When a block's factoring fails, its
+    steps march up to the first one that fails alone, which is named.
     """
     K, n, (_, p, J) = len(c) - 1, Anodes.shape[-1], AX0.shape
     selfw = c * np.diagonal(tables)[:K + 1]
     singular = "self-weight system singular at step {}; refine N"
 
-    Ab = np.zeros((n, n, K + _SUB))  # zeros past node K: those systems are I
+    Ab = np.zeros((n, n, K + _BLOCK))  # zeros past node K: those systems are I
     Ab[:, :, :K + 1] = Anodes.transpose(1, 2, 0)
     AX = np.zeros((K + 1, n, p, J))
     AX[0] = AX0
-    LU = np.empty(_SUB * n * n * min(J, K))
+    LU = np.empty(_BLOCK * n * n * min(J, K))
 
     def systems(s0, s1, width):
         """Steps s0..s1-1's systems, member j of step s0 + q at q width + j."""
@@ -267,21 +267,22 @@ def _march(Anodes, tables, c, rhs, AX0, store):
     for k0 in range(1, K + 1, _BLOCK):
         k1, live = min(k0 + _BLOCK, K + 1), min(J, K + 1 - k0)
         T = c[k0:k1, None] * tables[k0:k1, k0:k1]
+        t_factor = time.perf_counter()
+        bad, lu = k1, systems(k0, k1, live)
+        try:
+            swaps = _factor(lu)
+        except np.linalg.LinAlgError:
+            for bad in range(k0, k1):  # the first step that fails alone
+                try:
+                    _factor(systems(bad, bad + 1, min(J, K + 1 - bad)))
+                except np.linalg.LinAlgError:
+                    break
+            lu = systems(k0, bad, live)  # the steps before it
+            swaps = _factor(lu)
+        factor_s += time.perf_counter() - t_factor
         for s0 in range(k0, k1, _SUB):
-            s1, width = min(s0 + _SUB, k1), min(J, K + 1 - s0)
+            s1 = min(s0 + _SUB, k1)
             rows = slice(s0 - k0, s1 - k0)
-            t_factor = time.perf_counter()
-            lu = systems(s0, s1, width)
-            try:
-                swaps = _factor(lu)
-            except np.linalg.LinAlgError:
-                for k in range(s0, s1):  # name the first step that fails alone
-                    try:
-                        _factor(systems(k, k + 1, min(J, K + 1 - k)))
-                    except np.linalg.LinAlgError:
-                        break
-                raise SingularSystemError(singular.format(k)) from None
-            factor_s += time.perf_counter() - t_factor
             for a, b in np.ndindex(n, p):
                 if s0 == k0:  # R_k and the block's far sums
                     np.matmul(tables[k0:k1, :k0], AX[:k0, a, b, :live],
@@ -290,6 +291,8 @@ def _march(Anodes, tables, c, rhs, AX0, store):
                     AX[k0:k1, a, b, :live] += rhs[k0:k1, a, b, None]
                 AX[s0:s1, a, b, :live] += T[rows, :s0 - k0] @ AX[k0:s0, a, b, :live]
             for k in range(s0, s1):
+                if k == bad:
+                    raise SingularSystemError(singular.format(k))
                 i, cols = k - k0, min(J, K + 1 - k)
                 X = AX[k, :, :, :cols]
                 if k > s0:
@@ -297,7 +300,7 @@ def _march(Anodes, tables, c, rhs, AX0, store):
                                    AX[s0:k, :, :, :cols].transpose(1, 2, 0, 3))
                 t_solve = time.perf_counter()
                 try:
-                    _substitute(lu, swaps, X, (k - s0) * width)
+                    _substitute(lu, swaps, X, i * live)
                 except np.linalg.LinAlgError:
                     raise SingularSystemError(singular.format(k)) from None
                 solves_s += time.perf_counter() - t_solve

@@ -23,6 +23,11 @@ from .special import gamma
 _GRADE_LEVELS = 20
 _GRADE_NODES = 8
 _TAIL_NODES = 4
+# Gauss-Legendre rule of the R-operator panel j/k..(j+1)/k: (first j, nodes).
+# The integrand's one singularity, u = 0, lies 2j + 1 half-widths from the
+# panel's centre, so an m-node rule errs by about rho^(-2m) with rho ~ 4j + 2
+# (the Bernstein ellipse through u = 0), below 1e-16 relative for every j
+_PANEL_RULES = ((1, 10), (4, 7), (16, 5), (64, 4))
 # the R-operator weights are built a block of rows at a time, whose panel
 # arrays hold at most about this many values at any N
 _BLOCK_VALUES = 1 << 17
@@ -192,6 +197,14 @@ def kernel_K(xi: float, tau: float, alpha: float) -> float:
     return float(tau ** (alpha - 1.0) * xi ** (-alpha) * _kernel_profile(tau / xi, alpha))
 
 
+def _row_blocks(k0, N, per_row):
+    """Rows k0..N of the R-operator weights in blocks of about _BLOCK_VALUES
+    values at per_row values a row."""
+    step = max(1, _BLOCK_VALUES // per_row)
+    for lo in range(k0, N + 1, step):
+        yield np.arange(lo, min(lo + step, N + 1))
+
+
 def r_operator(phi: GridFn, alpha: float, side: str = "left") -> GridFn:
     """R operator: prefactor (1-alpha) sin(alpha pi)/pi against the kernel K.
 
@@ -200,9 +213,11 @@ def r_operator(phi: GridFn, alpha: float, side: str = "left") -> GridFn:
     grid interval, u in [0, 1/k], is cut into geometric pieces toward u = 0
     and an innermost piece whose rule carries the algebraic weight; in
     v = k u these pieces are the same for every k.  Each further interval
-    j/k..(j+1)/k is one 10-node Gauss-Legendre panel.  Every piece sits on
-    one grid interval, where phi is linear, so node k is a weighted sum of
-    node values, built for a block of rows at a time.
+    j/k..(j+1)/k is one Gauss-Legendre panel whose node count falls with its
+    distance j from u = 0 (_PANEL_RULES: 10 nodes next to it, 4 from j = 64
+    on).  Every piece sits on one grid interval, where phi is linear, so
+    node k is a weighted sum of node values, built for a block of rows at a
+    time.
     The base node holds the operator's right-limit
     (alpha B(alpha, alpha) - 1) phi(a), which keeps the result continuous for
     continuous phi and the uniform bound valid at every node.
@@ -230,24 +245,29 @@ def r_operator(phi: GridFn, alpha: float, side: str = "left") -> GridFn:
     wv = np.concatenate([(gl_w * lo * v ** (alpha - 1.0)).ravel(),
                          tail_w * eps ** alpha])
     v = np.concatenate([v.ravel(), eps * tail_u])
-    sm_u, sm_w = jacobi_rule_01(10, 0.0, 0.0)
 
     out = np.empty_like(flat)
     out[0] = (alpha * beta_sym(alpha) - 1.0) * flat[0]
-    rows_per_block = max(1, _BLOCK_VALUES // (10 * N))
-    for k0 in range(1, N + 1, rows_per_block):
-        k = np.arange(k0, min(k0 + rows_per_block, N + 1))
+    for k in _row_blocks(1, N, v.size):
         kf = k[:, None].astype(float)
         g = wv * kf ** (-alpha) * _kernel_profile(v / kf, alpha)
-        blk = np.outer(g @ (1.0 - v), flat[0]) + np.outer(g @ v, flat[1])
-        # panel j/k..(j+1)/k for 1 <= j < k: nodes j and j+1
-        rows, j = np.nonzero(np.arange(1, k[-1]) < k[:, None])
-        j += 1
-        uu = (j[:, None] + sm_u) / kf[rows]
-        f = sm_w / kf[rows] * uu ** (alpha - 1.0) * _kernel_profile(uu, alpha)
-        np.add.at(blk, rows, (f @ (1.0 - sm_u))[:, None] * flat[j]
-                  + (f @ sm_u)[:, None] * flat[j + 1])
-        out[k] = c_alpha * blk
+        out[k] = c_alpha * (np.outer(g @ (1.0 - v), flat[0])
+                            + np.outer(g @ v, flat[1]))
+    ends = [lo for lo, _ in _PANEL_RULES[1:]] + [N]
+    for (lo, m), hi in zip(_PANEL_RULES, ends):
+        if lo >= N:
+            break
+        u, w = jacobi_rule_01(m, 0.0, 0.0)
+        for k in _row_blocks(lo + 1, N, m * (min(hi, N) - lo)):
+            # panel j/k..(j+1)/k for lo <= j < min(hi, k): nodes j and j+1
+            rows, j = np.nonzero(np.arange(lo, min(hi, k[-1])) < k[:, None])
+            j += lo
+            kf = k[rows, None].astype(float)
+            uu = (j[:, None] + u) / kf
+            f = c_alpha * w / kf * uu ** (alpha - 1.0) * _kernel_profile(uu, alpha)
+            terms = (f @ (1.0 - u))[:, None] * flat[j] + (f @ u)[:, None] * flat[j + 1]
+            for c in range(flat.shape[1]):
+                out[k, c] += np.bincount(rows, terms[:, c], len(k))
     return GridFn(phi.a, phi.b, N, out.reshape(phi.values.shape))
 
 

@@ -271,6 +271,27 @@ def test_lattice_history_sums_match_per_entry(n, alpha, k0, monkeypatch):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9])
+@pytest.mark.parametrize("n", [1, 2])
+def test_half_step_psi_matches_per_entry(n, alpha, monkeypatch):
+    # psi on the doubled grid from t_star, as the history checks of verify
+    # ask for it: the even targets on the segment's lattice, the odd ones on
+    # it shifted by h/2, two convolutions per Legendre node
+    N, k0 = 128, 45
+    t = np.linspace(0.0, 1.0, N + 1)
+    vals = (np.cos(np.outer(t[:k0 + 1], np.arange(1.0, n + 1.0)))
+            + t[:k0 + 1, None] ** alpha)
+    seg = GridFn(0.0, t[k0], k0, vals)
+    ts = np.linspace(t[k0], 1.0, 2 * (N - k0) + 1)
+    assert cauchy._lattice_start(seg, ts) is None
+    assert cauchy._lattice_start(seg, ts[1::2]) == 0.5
+    lattice = _psi_defining(seg, alpha, ts)
+    monkeypatch.setattr(cauchy, "_lattice_start", lambda seg, ts: None)
+    want = _psi_defining(seg, alpha, ts)
+    assert np.abs(lattice - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("alpha", [0.3, 0.9])
 def test_off_lattice_history_sums_per_entry(alpha):
     # a history on the N/2 grid against targets on the N grid: every weight

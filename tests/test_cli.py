@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -583,6 +584,86 @@ def test_verify_fails_non_finite_solutions(tmp_path):
     by_name = {r["name"]: r for r in json.loads(report.read_text())["checks"]}
     for name in ("method_equivalence", "duality", "bound_field_hoelder"):
         assert not by_name[name]["pass"]
+
+
+def test_verify_roundtrip_is_scale_free(tmp_path):
+    # a correct problem on a long window: the quadratic probe of the
+    # round trip I^alpha D^alpha is scaled to the window
+    cfg = _write_config(tmp_path, theta=5.0, b={"preset": "zero"},
+                        history={"w0": [1.0]}, grid_N=512)
+    report = tmp_path / "report.json"
+    assert main(["verify", "--config", str(cfg), "--report", str(report)]) == 0
+    by_name = {r["name"]: r for r in json.loads(report.read_text())["checks"]}
+    # measured 4.44e-5, the residual of the same probe on [0, 1]
+    assert by_name["op_roundtrip_quadratic"]["residual"] <= 1e-4
+
+
+def _field_checks_reference(problem, field, apb):
+    """field_checks as it was before its row-sum norms were summed column
+    by column: every (N+1)(N+2)/2 matrix gathered, norms by axis sums."""
+    def opnorm(mats):
+        return np.abs(mats).sum(axis=-1).max(axis=-1)
+
+    alpha, N, vals = problem.alpha, field.grid.N, field.values
+    diag = vals[np.arange(N + 1), np.arange(N + 1)]
+    out = [checks._record("field_diagonal", np.abs(
+        diag - np.eye(problem.n) / gamma(alpha)).max(), 1e-12)]
+    ii, jj = np.tril_indices(N + 1)
+    out.append(checks._record("bound_field_norm", opnorm(vals[ii, jj]).max()
+                              - checks.SLACK * apb.M_F, 0.0))
+    pts = checks._lattice_points(N)
+    near = []
+    for k in range(0, N, max(1, N // 64)):
+        near.append([k + 1, k])
+        if k >= 1:
+            near.append([k + 1, k - 1])
+    pts = np.concatenate([pts, np.array(near)], axis=0)
+    Fp = vals[pts[:, 0], pts[:, 1]]
+    tp = field.grid.t[pts]
+    worst = -np.inf
+    for lo in range(0, len(pts), 256):
+        sl = slice(lo, lo + 256)
+        lhs = opnorm(Fp[sl, None] - Fp[None, :])
+        sep = (np.abs(tp[sl, None, 0] - tp[None, :, 0]) ** alpha
+               + np.abs(tp[sl, None, 1] - tp[None, :, 1]) ** alpha)
+        allowed = np.full(sep.shape, np.inf)
+        pos = sep > 0.0
+        allowed[pos] = checks.SLACK * apb.H_F * sep[pos]
+        worst = np.maximum(worst, (lhs - allowed).max())
+    out.append(checks._record("bound_field_hoelder", worst, 0.0))
+    return out
+
+
+@pytest.mark.parametrize("N", [7, 64, 130])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_field_checks_match_reference(N, n):
+    rng = np.random.default_rng(10 * N + n)
+    A = fracfund.Coefficient.cosine(rng.uniform(-2.0, 2.0, (n, n)), 3.0)
+    problem = fracfund.CauchyProblem.from_initial_value(
+        0.6, 0.0, 1.0, A, fracfund.Forcing.zero(n), np.ones(n))
+    field = fundamental.solve_F(problem, fundamental.TriangleGrid(0.0, 1.0, N))
+    apb = fundamental.bounds(problem)
+    assert checks.field_checks(problem, field, apb) == \
+        _field_checks_reference(problem, field, apb)
+    # a NaN inside the triangle fails the sup bound
+    field.planes[n - 1, 0, N, N - 3] = np.nan
+    got = checks.field_checks(problem, field, apb)
+    assert got == _field_checks_reference(problem, field, apb)
+    assert not got[1]["pass"]
+
+
+def test_field_checks_memory():
+    problem, N = cli.load_problem(README_CONFIG, ".")
+    field = fundamental.solve_F(problem, fundamental.TriangleGrid(0.0, 1.0, N))
+    apb = fundamental.bounds(problem)
+    tracemalloc.start()
+    try:
+        checks.field_checks(problem, field, apb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the gather of every matrix of the triangle peaked at 21.73 MB
+    assert peak <= 21.7e6  # measured 14.6 MB
 
 
 def test_ml_exp_identity_evaluates_the_series(monkeypatch):

@@ -315,8 +315,8 @@ def _r_operator_rows(phi, alpha):
     return GridFn(phi.a, phi.b, N, out)
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 17, 64, 130])
-@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("N", [1, 2, 3, 17, 64, 130, 512])
+@pytest.mark.parametrize("alpha", [0.05, 0.25, 0.5, 0.75, 0.95])
 def test_r_operator_matches_row_loop(N, alpha):
     a, b = 0.2, 1.7
     t = np.linspace(a, b, N + 1)
