@@ -152,13 +152,12 @@ def field_checks(problem, field, apb):
     dev = np.abs(diag - np.eye(problem.n) / gamma(alpha)).max()
     out.append(_record("field_diagonal", dev, 1e-12))
 
-    # _CHUNK rows of the triangle at a time; np.tril masks only the NaN above
-    # the diagonal, in the block's square tip, so a NaN inside the triangle
-    # fails the record
+    # _CHUNK rows of the triangle at a time; the block's square tip above the
+    # diagonal holds zeros, and a NaN inside the triangle fails the record
     top = -np.inf
     for r0 in range(0, N + 1, _CHUNK):
         norms = _rowsum_norms(field.planes[:, :, r0:r0 + _CHUNK, :r0 + _CHUNK])
-        top = np.maximum(top, np.tril(norms, r0).max())
+        top = np.maximum(top, norms.max())
     out.append(_record("bound_field_norm", top - SLACK * apb.M_F, 0.0))
 
     pts = _lattice_points(N)

@@ -3,8 +3,9 @@
 Exit codes are part of the contract: 0 success, 1 verification failure,
 2 config error, 3 numerical error, 4 method precondition violated. A
 `fundamental` or `solve` whose result is not finite exits 3 and writes no
-CSV. A failed write, such as a field CSV export whose formatting fails,
-exits 2. `fundamental` always marches the field.
+CSV, as does a RuntimeWarning raised as an error. A failed write, such as
+a field CSV export whose formatting fails, exits 2. `fundamental` always
+marches the field.
 """
 
 import argparse
@@ -147,11 +148,11 @@ def _load(args):
     return problem, args.grid_N
 
 
-def _export(args, result, values, size, sidecar):
+def _export(args, result, values, sidecar):
     """Write result's CSV to args.out, then its sidecar with the export's
-    time, process count and bytes. Unless values holds size finite numbers,
+    time, process count and bytes. Unless every entry of values is finite,
     refuse first, with nothing written."""
-    if np.count_nonzero(np.isfinite(values)) != size:
+    if not np.isfinite(values).all():
         raise FloatingPointError(
             f"non-finite result at grid_N = {args.grid_N}; nothing written")
     start = time.perf_counter()
@@ -167,9 +168,8 @@ def _export(args, result, values, size, sidecar):
 def cmd_fundamental(args):
     problem, grid_N = _load(args)
     field = solve_F(problem, TriangleGrid(problem.t0, problem.theta, grid_N))
-    # the triangle j <= i holds n^2 (N+1)(N+2)/2 entries; NaN fills the rest
-    size = field.n ** 2 * (grid_N + 1) * (grid_N + 2) // 2
-    return _export(args, field, field.planes, size,
+    # the planes hold the triangle j <= i and zeros above it
+    return _export(args, field, field.planes,
                    {"alpha": problem.alpha, **field.meta})
 
 
@@ -188,7 +188,7 @@ def cmd_solve(args):
     else:
         grid = TriangleGrid(problem.t0, problem.theta, grid_N)
         sol = _SOLVERS[args.method](problem, solve_F(problem, grid))
-    return _export(args, sol, sol.x.values, sol.x.values.size, sol.sidecar())
+    return _export(args, sol, sol.x.values, sol.sidecar())
 
 
 def cmd_verify(args):
@@ -261,7 +261,7 @@ def main(argv=None) -> int:
     except PreconditionError as err:
         return _fail(EXIT_PRECONDITION, err)
     except (NonConvergenceError, SingularSystemError, ToleranceNotMetError,
-            np.linalg.LinAlgError, ArithmeticError) as err:
+            np.linalg.LinAlgError, ArithmeticError, RuntimeWarning) as err:
         return _fail(EXIT_NUMERICS, err)
     except MemoryError:
         grid_N = getattr(args, "grid_N", "?")

@@ -58,20 +58,20 @@ class FundamentalField:
     """Field values F(t_i, t_j) on the triangle j <= i of a grid.
 
     The field is stored as component planes: planes[a, b] is the
-    (N+1, N+1) array of the (a, b) entries, NaN above the diagonal. values
-    is the writable view planes.transpose(2, 3, 0, 1), so values[i, j] is
-    the n x n matrix at (t_i, t_j). The planes let _field_rows sum the rows
-    of the representation formulas a block of rows at a time.
+    (N+1, N+1) array of the (a, b) entries, zero above the diagonal (the
+    causal extension F(t, s) = 0 for s > t). values is the writable view
+    planes.transpose(2, 3, 0, 1), so values[i, j] is the n x n matrix at
+    (t_i, t_j); the planes let _field_rows sum a block of rows at a time.
     """
 
     grid: TriangleGrid
     alpha: float
-    planes: np.ndarray  # (n, n, N+1, N+1); NaN above the diagonal
+    planes: np.ndarray  # (n, n, N+1, N+1); zeros above the diagonal
     meta: dict = _dcfield(default_factory=dict)
 
     @property
     def values(self):
-        """(N+1, N+1, n, n) view of the planes; NaN above the diagonal."""
+        """(N+1, N+1, n, n) view of the planes; zeros above the diagonal."""
         return self.planes.transpose(2, 3, 0, 1)
 
     @property
@@ -321,7 +321,7 @@ def _field_march(Anodes, alpha, grid):
     tables = hat_moment_tables(N, alpha - 1.0, alpha - 1.0)
     t_tables = time.perf_counter()
     ga = gamma(alpha)
-    planes = np.full((n, n, N + 1, N + 1), np.nan)
+    planes = np.zeros((n, n, N + 1, N + 1))
     pflat = planes.reshape(n, n, (N + 1) ** 2)
     pflat[:, :, ::N + 2] = np.eye(n)[:, :, None] / ga
 
@@ -398,7 +398,7 @@ def solve_F_picard(problem: CauchyProblem, grid: TriangleGrid,
         raise NonConvergenceError(
             f"fixed-point sweep still above tol after {max_iter} iterations")
 
-    planes = np.full((n, n, N + 1, N + 1), np.nan)
+    planes = np.zeros((n, n, N + 1, N + 1))
     ii, jj = np.tril_indices(N + 1)
     planes.transpose(2, 3, 0, 1)[ii, jj] = cur[ii - jj, jj]
     meta = {"method": "picard", "N": N, "iterations": iterations,
@@ -440,20 +440,18 @@ def _field_rows(field, k0, terms, head=None):
 
     The rows are summed _ROWS at a time on the component planes: for each
     (a, b), the block of plane F_ab times the block of a term's weights is
-    one matrix product with g[:, b]. Only the block's square tip reaches
-    above the diagonal, where the planes hold NaN; it is masked to zero.
+    one matrix product with g[:, b]. The block's square tip reaches above
+    the diagonal, where the planes and the weights hold zeros.
     """
     F = field.planes[:, :, k0:, k0:]
     out = np.zeros(terms[0][1].shape)
     K = out.shape[0]
     for r0 in range(0, K, _ROWS):
         r1 = min(r0 + _ROWS, K)
-        below = np.tri(r1 - r0, dtype=bool)
         for a in range(field.n):
             for b in range(field.n):
                 for w, g in terms:
                     P = F[a, b, r0:r1, :r1] * w[r0:r1, :r1]
-                    P[:, r0:] = np.where(below, P[:, r0:], 0.0)
                     out[r0:r1, a] += P @ g[:r1, b]
     if head is not None:
         out[1:] += np.einsum("abkm,kmb...->ka...", F[:, :, 1:K, :2], head[1:K])

@@ -475,6 +475,30 @@ def test_non_finite_field_is_not_written(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize("command", [
+    ["fundamental", "--out", "o.csv"],
+    ["solve", "--method", "direct", "--out", "o.csv"],
+    ["verify", "--report", "report.json"],
+], ids=["fundamental", "direct", "verify"])
+def test_runtime_warning_as_error_is_a_numerical_error(tmp_path, capsys,
+                                                       command):
+    # the growing field's GEMMs warn on overflow before any result is
+    # refused; a warning raised as an error must not read as exit 1,
+    # "verification failed"
+    cfg = _write_config(tmp_path, theta=5.0,
+                        A={"preset": "constant", "matrix": [[15.0]]},
+                        b={"preset": "zero"}, history={"w0": [1.0]},
+                        grid_N=512)
+    command = [str(tmp_path / a) if a.endswith((".csv", ".json")) else a
+               for a in command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main([*command, "--config", str(cfg)])
+    assert rc == 3
+    assert "fracfund: error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 # ---------------------------------------------------------------- verify
 
 
