@@ -5,6 +5,9 @@ with margin = threshold - residual.  Inequality checks (operator bounds,
 field bounds) multiply their right-hand side by a fixed 1.05 slack for
 discretization and report the worst signed excess, so a pass means the
 bound holds with margin on every probed point.
+
+duality is fundamental.dual_residual. The constant-coefficient oracle runs
+when A's node samples are all equal; at t_star = t0 one formula is solved.
 """
 
 from __future__ import annotations
@@ -17,13 +20,13 @@ import numpy as np
 from .cauchy import (METHOD_DIRECT, _star_index, b_star, psi_star,
                      represent_gc, represent_gc_compact, represent_pc,
                      solve_direct)
-from .fundamental import TriangleGrid, _field_rows, bounds, solve_F
+from .fundamental import TriangleGrid, bounds, dual_residual, solve_F
 from .gridfn import GridFn
 from .operators import (caputo_derivative, fractional_integral, j_operator,
                         op_constants, r_operator)
 from .oracle import constant_coeff_F
 from .problem import CauchyProblem, History
-from .quadrules import hat_moment_tables, left_moment_weights
+from .quadrules import left_moment_weights
 from .special import MLParams, gamma, mittag_leffler, ml_scalar
 
 SLACK = 1.05
@@ -63,7 +66,7 @@ def special_checks(alpha):
     return out
 
 
-def _operator_records(problem, N):
+def operator_checks(problem, N):
     """The two operator-identity records, then the four operator-bound ones.
 
     Both groups probe phi = cos 3t, so R phi and J phi are computed once.
@@ -111,12 +114,8 @@ def _operator_records(problem, N):
     return out
 
 
-def operator_checks(problem, N):
-    return _operator_records(problem, N)[:2]
-
-
 def operator_bound_checks(problem, N):
-    return _operator_records(problem, N)[2:]
+    return operator_checks(problem, N)[2:]
 
 
 def _lattice_points(N, target=33):
@@ -188,14 +187,6 @@ def field_checks(problem, field, apb):
     return out
 
 
-def _constant_matrix(problem):
-    ts = np.linspace(problem.t0, problem.theta, 7)
-    mats = problem.A.at(ts)
-    if float(np.abs(mats - mats[0]).max()) == 0.0:
-        return mats[0]
-    return None
-
-
 def run_suite(problem: CauchyProblem, grid_N: int):
     """Full invariant sweep for one configured problem; returns the records
     and the wall seconds of each check group."""
@@ -211,7 +202,7 @@ def run_suite(problem: CauchyProblem, grid_N: int):
     records = []
     records += special_checks(alpha)
     lap("special")
-    records += _operator_records(problem, N)
+    records += operator_checks(problem, N)
     lap("operators")
 
     grid = TriangleGrid(problem.t0, problem.theta, N)
@@ -220,34 +211,25 @@ def run_suite(problem: CauchyProblem, grid_N: int):
     records += field_checks(problem, field, apb)
     lap("field")
 
-    # the dual equation, F(t_{j+k}, t_j) = Id/Gamma(alpha) + c_k sum_m T[k, m]
-    # F(t_{j+k}, t_{j+m}) A_{j+m} with the march's c_k and T, at four columns
-    T = hat_moment_tables(N, alpha - 1.0, alpha - 1.0)
-    Anodes, ga = problem.A.at(grid.t), gamma(alpha)
-    c = (np.arange(N + 1) * grid.h) ** alpha / ga
-    dev = [np.abs(field.values[j:, j] - np.eye(problem.n) / ga
-                  - c[:N + 1 - j, None, None]
-                  * _field_rows(field, j, [(T, Anodes[j:])])).max()
-           for j in (0, N // 4, N // 2, 3 * N // 4)]
-    records.append(_record("duality", np.max(dev), 5e-3))
+    dual = dual_residual(problem, field, (0, N // 4, N // 2, 3 * N // 4))
+    records.append(_record("duality", dual, 5e-3))
     lap("dual")
 
-    A0 = _constant_matrix(problem)
-    if A0 is not None:
+    Anodes = problem.A.at(grid.t)
+    if (Anodes == Anodes[0]).all():
         idx = np.unique(np.linspace(0, N, 65).astype(int))
         dev = np.max([
             np.abs(field.values[i, 0]
-                   - constant_coeff_F(A0, alpha, i * grid.h)).max()
+                   - constant_coeff_F(Anodes[0], alpha, i * grid.h)).max()
             for i in idx])
         records.append(_record("field_vs_constant_oracle", dev, 5e-3))
     lap("field")
 
-    sols = {METHOD_DIRECT: solve_direct(problem, N)}
     at_start = problem.t_star == problem.t0
-    if at_start:
-        sols["repr_pc"] = represent_pc(problem, field)
-    sols["repr_gc"] = represent_gc(problem, field)
-    sols["repr_gc_compact"] = represent_gc_compact(problem, field)
+    formulas = ((represent_pc,) if at_start
+                else (represent_gc, represent_gc_compact))
+    sols = {sol.method: sol for sol in [solve_direct(problem, N)]
+            + [formula(problem, field) for formula in formulas]}
 
     k0 = _star_index(problem, N)
     xs = [sol.x.values[k0:] for sol in sols.values()]

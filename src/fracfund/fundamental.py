@@ -6,8 +6,9 @@ _march, solves it column by column (production path). The dual field G, whose
 equation multiplies the coefficient from the right, is the same march on the
 mirrored, transposed coefficient, and cauchy.solve_direct is the same march
 with one column. A fixed-point iteration under an exponentially weighted norm
-is kept as a cross-check. A-priori sup and Hoelder bounds for F are computed
-from the coefficient's sup norm.
+is kept as a cross-check. The field's marches, the iteration and dual_residual
+(verify's duality) read the weights from _field_weights. A-priori sup and
+Hoelder bounds for F are computed from the coefficient's sup norm.
 """
 
 from __future__ import annotations
@@ -309,18 +310,23 @@ def _march(Anodes, tables, c, rhs, AX0, store):
     return {"factor_s": factor_s, "solves_s": solves_s}
 
 
+def _field_weights(grid, alpha):
+    """The field equation's table T, c_k = (k h)^alpha/Gamma(alpha), Gamma."""
+    ga = gamma(alpha)
+    return (hat_moment_tables(grid.N, alpha - 1.0, alpha - 1.0),
+            (np.arange(grid.N + 1) * grid.h) ** alpha / ga, ga)
+
+
 def _field_march(Anodes, alpha, grid):
     """_march for solve_F on the coefficient samples Anodes: one column per
-    diagonal node, T the (alpha-1, alpha-1) hat-moment table,
-    c_k = (k h)^alpha/Gamma(alpha) and R_k = Id/Gamma(alpha). Returns the
-    component planes and the phase times. Each step writes its entries
+    diagonal node, _field_weights' T and c_k, R_k = Id/Gamma(alpha). Returns
+    the component planes and the phase times. Each step writes its entries
     (j + k, j), at flat positions k (N+1) + j (N+2), through one strided view.
     """
     t_start = time.perf_counter()
     N, n = grid.N, Anodes.shape[-1]
-    tables = hat_moment_tables(N, alpha - 1.0, alpha - 1.0)
+    tables, c, ga = _field_weights(grid, alpha)
     t_tables = time.perf_counter()
-    ga = gamma(alpha)
     planes = np.zeros((n, n, N + 1, N + 1))
     pflat = planes.reshape(n, n, (N + 1) ** 2)
     pflat[:, :, ::N + 2] = np.eye(n)[:, :, None] / ga
@@ -328,7 +334,7 @@ def _field_march(Anodes, alpha, grid):
     def store(k, X):
         pflat[:, :, k * (N + 1)::N + 2][:, :, :X.shape[-1]] = X
 
-    phases = _march(Anodes, tables, (np.arange(N + 1) * grid.h) ** alpha / ga,
+    phases = _march(Anodes, tables, c,
                     np.broadcast_to(np.eye(n) / ga, (N + 1, n, n)),
                     Anodes.transpose(1, 2, 0) / ga, store)
     return planes, {"tables_s": t_tables - t_start,
@@ -366,12 +372,10 @@ def solve_F_picard(problem: CauchyProblem, grid: TriangleGrid,
     """
     _check_grid(problem, grid)
     t_start = time.perf_counter()
-    alpha, N, h, n = problem.alpha, grid.N, grid.h, problem.n
+    alpha, N, n = problem.alpha, grid.N, problem.n
     Anodes = problem.A.at(grid.t)
-    tables = hat_moment_tables(N, alpha - 1.0, alpha - 1.0)
-    ga = gamma(alpha)
+    tables, ck, ga = _field_weights(grid, alpha)
     diag = np.eye(n) / ga
-    ck = (np.arange(N + 1) * h) ** alpha / ga
     if math.isinf(bounds(problem).M_F):
         raise NonConvergenceError(
             "fixed-point sweep cannot certify convergence: exp(kappa (theta - t0))"
@@ -456,3 +460,16 @@ def _field_rows(field, k0, terms, head=None):
     if head is not None:
         out[1:] += np.einsum("abkm,kmb...->ka...", F[:, :, 1:K, :2], head[1:K])
     return out
+
+
+def dual_residual(problem: CauchyProblem, field: FundamentalField, columns):
+    """Largest entry, over the given columns j, of the residual on field of
+    the dual equation F(t_{j+k}, t_j) = Id/Gamma(alpha) + c_k sum_m T[k, m]
+    F(t_{j+k}, t_{j+m}) A_{j+m} with _field_weights' T, c; NaN propagates."""
+    _check_grid(problem, field.grid)
+    T, c, ga = _field_weights(field.grid, problem.alpha)
+    Anodes, K = problem.A.at(field.grid.t), len(c)
+    return np.max([np.abs(field.values[j:, j] - np.eye(problem.n) / ga
+                          - c[:K - j, None, None]
+                          * _field_rows(field, j, [(T, Anodes[j:])])).max()
+                   for j in columns])

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import fracfund
-from fracfund import (GridFn, checks, cli, fundamental, gamma, gridfn,
+from fracfund import (GridFn, cauchy, checks, cli, fundamental, gamma, gridfn,
                       read_csv, special, write_csv)
 from fracfund.cli import main
 from fracfund.quadrules import jacobi_rule_01
@@ -306,6 +306,16 @@ def test_samples_presets(tmp_path):
     assert side["residual"] < 1e-10
 
 
+def test_samples_header_only_rejected(tmp_path, capsys):
+    (tmp_path / "b.csv").write_text("t,b_1\n")
+    cfg = _write_config(tmp_path, b={"preset": "samples", "path": "b.csv"})
+    out = tmp_path / "o.csv"
+    assert main(["solve", "--config", str(cfg), "--method", "direct",
+                 "--out", str(out)]) == 2
+    assert "empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["A", "b"])
 def test_samples_short_of_the_window_rejected(tmp_path, capsys, key):
     # samples on [0, 0.5] for a problem on [0, 1] are not extrapolated
@@ -592,6 +602,51 @@ def test_march_defect_fails_duality(monkeypatch):
 
     monkeypatch.setattr(fundamental, "_field_march", scaled)
     assert not duality()["pass"]  # measured 1.7e-2
+
+
+def test_verify_coefficient_equal_at_seven_points(tmp_path):
+    # cos(12 pi t) is 1 at t = 0, 1/6, ..., 1 but varies between them: A is
+    # not constant, so no constant-coefficient oracle runs
+    cfg = dict(README_CONFIG, A={**README_CONFIG["A"],
+                                 "omega": 37.69911184307752})
+    report = tmp_path / "report.json"
+    assert main(["verify", "--config", str(_write_config(tmp_path, **cfg)),
+                 "--report", str(report)]) == 0
+    names = [r["name"] for r in json.loads(report.read_text())["checks"]]
+    assert "field_vs_constant_oracle" not in names
+
+
+def test_run_suite_calls_operator_checks_once(monkeypatch):
+    calls = []
+    operator_checks = checks.operator_checks
+
+    def counted(*args):
+        calls.append(args)
+        return operator_checks(*args)
+
+    monkeypatch.setattr(checks, "operator_checks", counted)
+    problem, _ = cli.load_problem(README_CONFIG, ".")
+    records, _ = checks.run_suite(problem, 64)
+    assert len(calls) == 1
+    assert len(counted(problem, 64)) == 6
+
+
+def test_verify_at_t0_solves_one_formula(monkeypatch):
+    # at t_star = t0 both general formulas are the classical one
+    calls = []
+    formula = cauchy._formula_at_t0
+
+    def counted(*args):
+        calls.append(args[-2])
+        return formula(*args)
+
+    monkeypatch.setattr(cauchy, "_formula_at_t0", counted)
+    problem, _ = cli.load_problem(README_CONFIG, ".")
+    records, _ = checks.run_suite(problem, 64)
+    assert calls == ["repr_pc"]
+    names = [r["name"] for r in records]
+    assert "residual_repr_pc" in names
+    assert "residual_repr_gc" not in names
 
 
 def test_verify_fails_non_finite_solutions(tmp_path):

@@ -26,7 +26,7 @@ from fracfund import (
     z_value,
 )
 from fracfund import gridfn
-from fracfund.fundamental import _factor, _substitute
+from fracfund.fundamental import _factor, _march, _substitute
 from fracfund.operators import op_constants
 from fracfund.oracle import constant_coeff_F
 from fracfund.quadrules import hat_moment_tables
@@ -236,6 +236,19 @@ def test_singular_system_inside_a_sub_block_names_its_step():
     for solve in (solve_F, solve_G_dual):
         with pytest.raises(SingularSystemError, match=f"at step {k};"):
             solve(p, g)
+
+
+def test_substitution_failure_names_its_step():
+    # the step-1 systems factor, but a right-hand side infinite in both
+    # components makes forward elimination compute inf - inf
+    K, alpha = 2, 0.5
+    tables = hat_moment_tables(K, alpha - 1.0, alpha - 1.0)
+    c = (np.arange(K + 1) / K) ** alpha / gamma(alpha)
+    Anodes = np.broadcast_to([[0.0, 0.0], [-1.0, 0.0]], (K + 1, 2, 2))
+    rhs = np.full((K + 1, 2, 1), np.inf)
+    with pytest.raises(SingularSystemError, match="at step 1;"):
+        _march(Anodes, tables, c, rhs, np.zeros((2, 1, 1)),
+               lambda k, X: None)
 
 
 @pytest.mark.parametrize("N", [65, 130])

@@ -144,3 +144,10 @@ def test_csv_ragged_row(tmp_path):
     p.write_text("t,v_1,v_2\n0.0,1.0,2.0\n1.0,1.0\n")
     with pytest.raises(DomainError):
         read_csv(p)
+
+
+def test_csv_header_only_rejected(tmp_path):
+    p = tmp_path / "empty.csv"
+    p.write_text("t,v_1\n")
+    with pytest.raises(DomainError, match="empty"):
+        read_csv(p)

@@ -203,6 +203,15 @@ def test_fractional_integral_rejects():
         fractional_integral(phi, 1.0)
     with pytest.raises(DomainError):
         fractional_integral(phi, 0.5, side="up")
+    for op in (r_operator, j_operator):
+        with pytest.raises(DomainError):
+            op(phi, 0.5, side="up")
+
+
+def test_j_operator_degenerate():
+    phi = GridFn(1.0, 1.0, 0, np.array([[4.0, 5.0]]))
+    out = j_operator(phi, 0.5)
+    assert out.N == 0 and np.all(out.values == 0.0)
 
 
 def test_caputo_affine_exact():

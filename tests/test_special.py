@@ -65,6 +65,19 @@ def test_gamma_reflection():
         assert prod == pytest.approx(math.pi / math.sin(math.pi * x), rel=1e-12)
 
 
+@pytest.mark.parametrize("x", [0.0, -1.0, math.nan])
+def test_gamma_rejects_non_positive_and_nan(x):
+    with pytest.raises(DomainError):
+        gamma(x)
+
+
+def test_gamma_overflow_and_log_gamma_domain():
+    with pytest.raises(OverflowError):
+        gamma(172.0)
+    with pytest.raises(DomainError):
+        log_gamma(0.0)
+
+
 @pytest.mark.parametrize("a,b,z,ref", ML_TABLE)
 def test_ml_scalar_table(a, b, z, ref):
     assert ml_scalar(a, z, b) == pytest.approx(ref, rel=1e-12)
