@@ -178,11 +178,12 @@ def equation_residual(problem, x: GridFn):
 def solve_direct(problem: CauchyProblem, N: int) -> Solution:
     """Implicit product-integration march of the equivalent integral equation.
 
-    The field's march, fundamental._march, with one column from t_star: T is
-    the left-moment table W, c_k = 1/Gamma(alpha), and R_k gathers w0, the
-    history's memory integral (of its Caputo density) and the forcing's,
-    (W b)_k/Gamma(alpha). meta records the time spent on the factorisations
-    (factor_s) and the substitutions (solves_s).
+    The field's march, fundamental._march, with one column from t_star and
+    a state array of its own: T is the left-moment table W, c_k =
+    1/Gamma(alpha), and R_k gathers w0, the history's memory integral (of
+    its Caputo density) and the forcing's, (W b)_k/Gamma(alpha). meta
+    records the time spent on the factorisations (factor_s) and the
+    substitutions (solves_s).
     """
     if N < 1:
         raise DomainError("need N >= 1")
@@ -194,11 +195,13 @@ def solve_direct(problem: CauchyProblem, N: int) -> Solution:
     rhs = np.zeros((M + 1, problem.n, 1))
     rhs[1:, :, 0] = start + (W[1:] @ bnodes) / ga
 
+    AX = np.zeros((M + 1, problem.n, 1, 1))
+    AX[0, :, 0, 0] = Anodes[0] @ xv[k0]
+
     def store(k, X):
         xv[k0 + k] = X[:, 0, 0]
 
-    phases = _march(Anodes, W, np.full(M + 1, 1.0 / ga), rhs,
-                    (Anodes[0] @ xv[k0])[:, None, None], store)
+    phases = _march(Anodes, W, np.full(M + 1, 1.0 / ga), rhs, AX, store)
     return _assemble(problem, xv, METHOD_DIRECT, t_start, **phases)
 
 

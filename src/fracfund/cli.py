@@ -17,6 +17,11 @@ import time
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 from .cauchy import (represent_gc, represent_gc_compact, represent_pc,
                      solve_direct)
 from .checks import all_pass, run_suite
@@ -148,17 +153,26 @@ def _load(args):
     return problem, args.grid_N
 
 
+def _peak_rss():
+    """The process's peak resident set so far, as {"peak_rss_mb": MB}, or
+    {} where the resource module is missing."""
+    if resource is None:
+        return {}
+    return {"peak_rss_mb":
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+
+
 def _export(args, result, values, sidecar):
     """Write result's CSV to args.out, then its sidecar with the export's
-    time, process count and bytes. Unless every entry of values is finite,
-    refuse first, with nothing written."""
+    time, process count and bytes and the peak RSS so far. Unless every
+    entry of values is finite, refuse first, with nothing written."""
     if not np.isfinite(values).all():
         raise FloatingPointError(
             f"non-finite result at grid_N = {args.grid_N}; nothing written")
     start = time.perf_counter()
     procs = result.write_csv(args.out)
     export = {"write_s": time.perf_counter() - start, "write_procs": procs,
-              "csv_bytes": os.path.getsize(args.out)}
+              "csv_bytes": os.path.getsize(args.out), **_peak_rss()}
     with open(str(args.out) + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump({**sidecar, **export}, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -201,7 +215,7 @@ def cmd_verify(args):
                    "numpy": np.__version__, "mpmath": mpmath.__version__}
     report = {"alpha": problem.alpha, "grid_N": grid_N,
               "checks": records, "all_pass": ok, "phases": phases,
-              "environment": environment}
+              "environment": environment, **_peak_rss()}
     with open(args.report, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")

@@ -7,7 +7,9 @@ equation multiplies the coefficient from the right, is the same march on the
 mirrored, transposed coefficient, and cauchy.solve_direct is the same march
 with one column. A fixed-point iteration under an exponentially weighted norm
 is kept as a cross-check. The field's marches, the iteration and dual_residual
-(verify's duality) read the weights from _field_weights. A-priori sup and
+(verify's duality) read the weights from _field_weights. A field march keeps
+its running products A F in the zero half of the field's own buffer, above
+the diagonal, so a field costs one square per component. A-priori sup and
 Hoelder bounds for F are computed from the coefficient's sup norm.
 """
 
@@ -18,7 +20,7 @@ import time
 from dataclasses import dataclass, field as _dcfield
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import (DomainError, GridMismatchError, NonConvergenceError,
                      SingularSystemError)
@@ -63,6 +65,8 @@ class FundamentalField:
     causal extension F(t, s) = 0 for s > t). values is the writable view
     planes.transpose(2, 3, 0, 1), so values[i, j] is the n x n matrix at
     (t_i, t_j); the planes let _field_rows sum a block of rows at a time.
+    A march's planes are a view of a padded buffer (see _field_march), of
+    meta["field_bytes"] bytes; solve_G_dual's are a mirrored view of one.
     """
 
     grid: TriangleGrid
@@ -222,7 +226,7 @@ def _substitute(LU, swaps, X, first=0):
         raise np.linalg.LinAlgError(_INVALID) from None
 
 
-def _march(Anodes, tables, c, rhs, AX0, store):
+def _march(Anodes, tables, c, rhs, AX, store):
     """March the product-integration Volterra equation over K = len(c) - 1
     steps; returns the seconds spent factoring (factor_s) and substituting
     (solves_s).
@@ -233,27 +237,28 @@ def _march(Anodes, tables, c, rhs, AX0, store):
             = R_k + c_k sum_{m<k} T[k, m] A_{j+m} X_{m,j}
 
     for the n x p block X_{k,j}, given Anodes[i] = A_i, the rows of tables
-    T, rhs[k] = R_k and AX0[:, :, j] = A_j X_{0,j}; store(k, X) receives
-    the step's solution, X[:, :, j] = X_{k,j}. The state is batch-last:
-    AX[m, a, b, j] is entry (a, b) of A_{j+m} X_{m,j}. Before step m, row
-    m of AX gathers its right-hand side; the step solves for X there, hands
-    it to store and replaces it by A X. In the block of steps from k0 on,
-    the terms m < k0 come from one GEMM per entry at its start, and its
-    systems are factored together first (_factor; each step then only
-    substitutes); in its sub-block from s0 on, the terms k0 <= m < s0 come
-    from one GEMM per entry; only s0 <= m < k are summed step by step. Row
-    m keeps partial sums past its last column, K - m; they only reach
-    columns that no later step reads. When a block's factoring fails, its
-    steps march up to the first one that fails alone, which is named.
+    T and rhs[k] = R_k; store(k, X) receives the step's solution, X[:, :, j]
+    = X_{k,j}. The state AX, of shape (K+1, n, p, J), is the caller's and
+    batch-last: AX[m, a, b, j] is entry (a, b) of A_{j+m} X_{m,j}, and the
+    caller fills row 0. Before step m, row m of AX gathers its right-hand
+    side; the step solves for X there, hands it to store and replaces it by
+    A X. In the block of steps from k0 on, the terms m < k0 come from one
+    GEMM per entry at its start, and its systems are factored together
+    first (_factor; each step then only substitutes); in its sub-block from
+    s0 on, the terms k0 <= m < s0 come from one GEMM per entry; only s0 <=
+    m < k are summed step by step. Row m keeps partial sums past its last
+    column, K - m; they only reach columns that no later step reads. Rows
+    1..K are written before they are read, and only at m + j < K + _BLOCK,
+    so the caller may lay AX over memory that is free there (_field_march
+    does). When a block's factoring fails, its steps march up to the first
+    one that fails alone, which is named.
     """
-    K, n, (_, p, J) = len(c) - 1, Anodes.shape[-1], AX0.shape
+    K, n, (_, _, p, J) = len(c) - 1, Anodes.shape[-1], AX.shape
     selfw = c * np.diagonal(tables)[:K + 1]
     singular = "self-weight system singular at step {}; refine N"
 
     Ab = np.zeros((n, n, K + _BLOCK))  # zeros past node K: those systems are I
     Ab[:, :, :K + 1] = Anodes.transpose(1, 2, 0)
-    AX = np.zeros((K + 1, n, p, J))
-    AX[0] = AX0
     LU = np.empty(_BLOCK * n * n * min(J, K))
 
     def systems(s0, s1, width):
@@ -320,25 +325,40 @@ def _field_weights(grid, alpha):
 def _field_march(Anodes, alpha, grid):
     """_march for solve_F on the coefficient samples Anodes: one column per
     diagonal node, _field_weights' T and c_k, R_k = Id/Gamma(alpha). Returns
-    the component planes and the phase times. Each step writes its entries
-    (j + k, j), at flat positions k (N+1) + j (N+2), through one strided view.
+    the component planes and the march's meta: the phase times and the
+    bytes of the field's buffer (field_bytes).
+
+    The planes are buf[:, :, 1:, :N+1] of one zeroed buffer buf of shape
+    (n, n, N+2, N+1+_BLOCK), and the march's state lies in the rest of it:
+    AX[m, a, b, j] = buf[a, b, m, m + j]. State row m >= 1 is the strictly
+    upper part of plane row m - 1, row 0 is a padding row, and the _BLOCK
+    columns past N take the block GEMMs' overshoot, so the state never
+    reaches the triangle j <= i, where each step writes its entries (j + k,
+    j) through one strided view. When the march ends the strictly upper
+    part is set back to +0.0, the causal extension.
     """
     t_start = time.perf_counter()
     N, n = grid.N, Anodes.shape[-1]
     tables, c, ga = _field_weights(grid, alpha)
     t_tables = time.perf_counter()
-    planes = np.zeros((n, n, N + 1, N + 1))
-    pflat = planes.reshape(n, n, (N + 1) ** 2)
-    pflat[:, :, ::N + 2] = np.eye(n)[:, :, None] / ga
+    buf = np.zeros((n, n, N + 2, N + 1 + _BLOCK))
+    planes, W = buf[:, :, 1:, :N + 1], buf.shape[-1]
+    sa, sb, sr, sc = buf.strides
+    AX = as_strided(buf, (N + 1, n, n, N + 1), (sr + sc, sa, sb, sc))
+    AX[0] = Anodes.transpose(1, 2, 0) / ga
+    bflat = buf.reshape(n, n, -1)  # planes entry (i, j) at (i + 1) W + j
+    bflat[:, :, W::W + 1][:, :, :N + 1] = np.eye(n)[:, :, None] / ga
 
     def store(k, X):
-        pflat[:, :, k * (N + 1)::N + 2][:, :, :X.shape[-1]] = X
+        bflat[:, :, (k + 1) * W::W + 1][:, :, :X.shape[-1]] = X
 
     phases = _march(Anodes, tables, c,
-                    np.broadcast_to(np.eye(n) / ga, (N + 1, n, n)),
-                    Anodes.transpose(1, 2, 0) / ga, store)
+                    np.broadcast_to(np.eye(n) / ga, (N + 1, n, n)), AX, store)
+    for m in range(1, N + 1):
+        AX[m, :, :, :N + 1 - m] = 0.0
     return planes, {"tables_s": t_tables - t_start,
-                    "march_s": time.perf_counter() - t_tables, **phases}
+                    "march_s": time.perf_counter() - t_tables, **phases,
+                    "field_bytes": buf.nbytes}
 
 
 def solve_F(problem: CauchyProblem, grid: TriangleGrid) -> FundamentalField:
@@ -348,7 +368,8 @@ def solve_F(problem: CauchyProblem, grid: TriangleGrid) -> FundamentalField:
     inside its own moment weight, so each step solves a small n x n system
     for every column. meta records the time spent on the hat-moment tables
     (tables_s), on the march (march_s) and, within the march, on the
-    factorisations (factor_s) and the substitutions (solves_s).
+    factorisations (factor_s) and the substitutions (solves_s), and the
+    bytes of the field's buffer (field_bytes).
     """
     _check_grid(problem, grid)
     t_start = time.perf_counter()
@@ -418,15 +439,15 @@ def solve_G_dual(problem: CauchyProblem, grid: TriangleGrid) -> FundamentalField
     A'(t) = A(t0 + theta - t)^T, mirrored back: G[i, j] = F'[N-j, N-i]^T.
     The hat-moment weights are symmetric (w_k[m] = w_k[k-m]), so this is the
     backward march in the second argument with the small systems solved
-    from the right. meta carries the same phase times as solve_F's.
+    from the right. meta carries the same phase times as solve_F's. The
+    planes are the mirrored view of the march's planes, not a copy.
     """
     _check_grid(problem, grid)
     t_start = time.perf_counter()
     Anodes = problem.A.at(grid.t)
     mirrored, phases = _field_march(np.swapaxes(Anodes[::-1], 1, 2),
                                     problem.alpha, grid)
-    planes = np.ascontiguousarray(
-        mirrored.transpose(1, 0, 3, 2)[:, :, ::-1, ::-1])
+    planes = mirrored.transpose(1, 0, 3, 2)[:, :, ::-1, ::-1]
     meta = {"method": "dual_march", "N": grid.N, **phases,
             "wall_time": time.perf_counter() - t_start}
     return FundamentalField(grid, problem.alpha, planes, meta)

@@ -545,6 +545,27 @@ def test_verify_report_phases(tmp_path):
         assert math.isfinite(seconds) and seconds >= 0.0
 
 
+def test_artefacts_record_memory(tmp_path):
+    # where the resource module is missing the peak RSS is left out
+    pytest.importorskip("resource")
+    cfg = _write_config(tmp_path, b={"preset": "zero"},
+                        history={"w0": [1.0]}, grid_N=64)
+    docs = []
+    for command in (["fundamental"], ["solve", "--method", "direct"],
+                    ["solve", "--method", "repr-pc"]):
+        out = tmp_path / f"{command[-1]}.csv"
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == 0
+        docs.append(json.loads((tmp_path / f"{out.name}.meta.json").read_text()))
+    report = tmp_path / "report.json"
+    assert main(["verify", "--config", str(cfg), "--report", str(report)]) == 0
+    docs.append(json.loads(report.read_text()))
+    for doc in docs:
+        assert math.isfinite(doc["peak_rss_mb"]) and doc["peak_rss_mb"] > 0.0
+    # the field's one buffer: planes, a padding row and _BLOCK columns
+    assert docs[0]["field_bytes"] == 66 * 129 * 8
+    assert all("field_bytes" not in doc for doc in docs[1:])
+
+
 def test_verify_runs_r_operator_once(tmp_path, monkeypatch):
     calls = []
     r_operator = checks.r_operator

@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,7 +27,7 @@ from fracfund import (
     z_value,
 )
 from fracfund import gridfn
-from fracfund.fundamental import _factor, _march, _substitute
+from fracfund.fundamental import _factor, _field_weights, _march, _substitute
 from fracfund.operators import op_constants
 from fracfund.oracle import constant_coeff_F
 from fracfund.quadrules import hat_moment_tables
@@ -247,7 +248,7 @@ def test_substitution_failure_names_its_step():
     Anodes = np.broadcast_to([[0.0, 0.0], [-1.0, 0.0]], (K + 1, 2, 2))
     rhs = np.full((K + 1, 2, 1), np.inf)
     with pytest.raises(SingularSystemError, match="at step 1;"):
-        _march(Anodes, tables, c, rhs, np.zeros((2, 1, 1)),
+        _march(Anodes, tables, c, rhs, np.zeros((K + 1, 2, 1, 1)),
                lambda k, X: None)
 
 
@@ -271,6 +272,67 @@ def test_march_with_row_swaps_matches_unblocked(N):
                      (solve_G_dual(p, g).values, _reference_G(p, g))):
         assert _upper_is_zero(got) and _upper_is_zero(ref)
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def _separate_state_march(Anodes, alpha, grid):
+    # the field march with the state in an array of its own, apart from
+    # the planes
+    N, n = grid.N, Anodes.shape[-1]
+    tables, c, ga = _field_weights(grid, alpha)
+    planes = np.zeros((n, n, N + 1, N + 1))
+    diag = np.arange(N + 1)
+    planes[:, :, diag, diag] = (np.eye(n) / ga)[:, :, None]
+    AX = np.zeros((N + 1, n, n, N + 1))
+    AX[0] = Anodes.transpose(1, 2, 0) / ga
+
+    def store(k, X):
+        j = np.arange(X.shape[-1])
+        planes[:, :, j + k, j] = X
+
+    _march(Anodes, tables, c, np.broadcast_to(np.eye(n) / ga, (N + 1, n, n)),
+           AX, store)
+    return planes
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("N", [1, 2, 63, 64, 65, 130])
+def test_state_in_the_zero_half_matches_a_separate_state(N, n):
+    # the state lies in the planes' upper half; at the edges of the 64-step
+    # blocks the GEMMs' overshoot lands in the padding columns, and the
+    # upper half is +0.0 again when the march ends
+    p = CauchyProblem.from_initial_value(0.7, 0.2, 1.7, _drifting(n),
+                                         Forcing.zero(n), np.ones(n))
+    g = TriangleGrid(0.2, 1.7, N)
+    Anodes = p.A.at(g.t)
+    ref = _separate_state_march(Anodes, p.alpha, g)
+    assert solve_F(p, g).planes.tobytes() == ref.tobytes()
+    mirrored = _separate_state_march(np.swapaxes(Anodes[::-1], 1, 2),
+                                     p.alpha, g)
+    ref = np.ascontiguousarray(mirrored.transpose(1, 0, 3, 2)[:, :, ::-1, ::-1])
+    G = solve_G_dual(p, g)
+    assert G.planes.tobytes() == ref.tobytes()
+    assert G.values.tobytes() == ref.transpose(2, 3, 0, 1).tobytes()
+
+
+@pytest.mark.parametrize("solve", [solve_F, solve_G_dual])
+def test_field_peak_memory(solve):
+    # one buffer holds the planes and the march's state; G is a view of
+    # it. The traced peak was 1.92 x (planes + hat table) with a separate
+    # state, and with a contiguous copy of G
+    N, n = 1024, 2
+    p = CauchyProblem.from_initial_value(0.6, 0.0, 1.0, _drifting(n),
+                                         Forcing.zero(n), np.ones(n))
+    g = TriangleGrid(0.0, 1.0, N)
+    hat_moment_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        field = solve(p, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert field.meta["field_bytes"] == n * n * (N + 2) * (N + 65) * 8
+    table_bytes = (N + 1) ** 2 * 8
+    assert peak <= 1.25 * (field.planes.nbytes + table_bytes)  # measured 1.17
 
 
 def _solve_small(M, R):
