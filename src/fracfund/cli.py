@@ -229,7 +229,8 @@ def cmd_verify(args):
 
 
 def cmd_mlf(args):
-    val = ml_scalar(args.alpha, args.z, args.beta)
+    val = ml_scalar(_scalar(args.alpha, "alpha"), _scalar(args.z, "z"),
+                    _scalar(args.beta, "beta"))
     print(f"{val:.15g}")
     return EXIT_OK
 

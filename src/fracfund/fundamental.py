@@ -98,14 +98,17 @@ class FundamentalField:
         times = np.array(["%.17g" % v for v in self.grid.t.tolist()],
                          dtype=object)
         flat = self.planes.reshape(n * n, N + 1, N + 1)
-        pairs = np.tril_indices(N + 1)  # (i, j), j <= i, row-major
+        # row i of the triangle starts at line i(i+1)/2
+        starts = np.arange(N + 2) * np.arange(1, N + 3) // 2
 
         def rows(q0, q1):
-            i, j = pairs[0][q0:q1], pairs[1][q0:q1]
+            q = np.arange(q0, q1)
+            i = np.searchsorted(starts, q, side="right") - 1
+            j = q - starts[i]
             return np.column_stack([times[i], times[j], flat[:, i, j].T])
 
         names = ",".join(f"F_{r+1}{c+1}" for r in range(n) for c in range(n))
-        return write_table(path, "t,s," + names, len(pairs[0]), rows,
+        return write_table(path, "t,s," + names, int(starts[N + 1]), rows,
                            ["%s", "%s"] + ["%.17g"] * (n * n))
 
 

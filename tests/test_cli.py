@@ -56,6 +56,14 @@ def test_mlf_half_order_at_minus_one(capsys):
     assert abs(got - 0.42758357615580700441) <= 1e-13
 
 
+@pytest.mark.parametrize("z", ["nan", "inf"])
+@pytest.mark.parametrize("alpha", ["1", "0.5"])
+def test_mlf_non_finite_argument_is_a_config_error(capsys, alpha, z):
+    assert main(["mlf", "--alpha", alpha, "--z", z]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "z must be finite" in err
+
+
 # ------------------------------------------------------------ exit codes
 
 
