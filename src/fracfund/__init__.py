@@ -10,7 +10,8 @@ produce solutions that must all agree, which the checks suite enforces.
 
 from .cauchy import (METHODS, Solution, b_star, equation_residual,
                      gc_compact_identity_residual, psi_star, represent_gc,
-                     represent_gc_compact, represent_pc, solve_direct)
+                     represent_gc_compact, represent_pc, restart_grid,
+                     solve_direct)
 from .errors import (DomainError, GridMismatchError, NonConvergenceError,
                      PreconditionError, ProblemSpecError, SingularSystemError,
                      ToleranceNotMetError)
@@ -28,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "METHODS", "Solution", "b_star", "equation_residual",
     "gc_compact_identity_residual", "psi_star", "represent_gc",
-    "represent_gc_compact", "represent_pc", "solve_direct",
+    "represent_gc_compact", "represent_pc", "restart_grid", "solve_direct",
     "DomainError", "GridMismatchError", "NonConvergenceError",
     "PreconditionError", "ProblemSpecError", "SingularSystemError",
     "ToleranceNotMetError",

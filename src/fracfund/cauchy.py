@@ -15,6 +15,14 @@ row sum fundamental._field_rows: every weighted term is summed against the
 field rows, and the exact first subinterval enters as a per-target head on
 the nodes at t_star and one step later.
 
+The formulas read F(t, s) for t_star <= s <= t only, and F there depends
+on A only on [s, t].  So they take the problem's field on its N grid of
+[t0, theta], or on any tail of that grid that starts at a node at or before
+t_star: restart_grid gives the one from t_star, whose march and tables cost
+(N - k0)^3 and (N - k0)^2 instead of N^3 and N^2.  The solution comes back
+on the problem's N grid either way, with the start segment's values up to
+t_star.  represent_pc, whose segment is the point t0, needs the full grid.
+
 The history functionals (the memory integral of the segment, and psi in
 either form) choose their summation from their targets.  Targets t_star +
 k h on the segment's own lattice, which are the nodes of any grid that
@@ -37,12 +45,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridMismatchError, PreconditionError
-from .fundamental import FundamentalField, _check_grid, _field_rows, _march
+from .fundamental import (FundamentalField, TriangleGrid, _check_grid,
+                          _field_rows, _march)
 from .gridfn import GridFn
 from .problem import CauchyProblem
 from .quadrules import (SINGULAR_NODES, SMOOTH_NODES, first_interval_moments,
                         hat_moment_tables, jacobi_rule_01, lattice_hat_moments,
-                        left_moment_weights, left_moments_at)
+                        left_moment_profile, left_moment_weights,
+                        left_moments_at)
 from .special import gamma
 
 METHOD_DIRECT = "direct"
@@ -84,12 +94,37 @@ def _star_index(problem, N):
 
 
 def _field_star_index(problem, field):
-    """Node index of t_star on the field's grid, once the field is checked
-    to belong to the problem."""
-    _check_grid(problem, field.grid)
+    """t_star's node index k0 on the field's grid, and the N of the problem's
+    grid whose tail that grid is.
+
+    The field must be the problem's, on a grid that ends at theta, has the
+    step of the problem's N grid and starts at one of its nodes at or before
+    t_star: the N grid itself, or restart_grid(problem, N).
+    """
+    grid = field.grid
+    _check_grid(problem, grid)
     if field.n != problem.n or field.alpha != problem.alpha:
         raise GridMismatchError("field dimension or order differs from the problem's")
-    return _star_index(problem, field.grid.N)
+    lead = (grid.t0 - problem.t0) / grid.h
+    N = grid.N + int(round(lead))
+    if abs(lead - (N - grid.N)) > _LATTICE_TOL:
+        raise GridMismatchError(
+            f"the field's grid starts at {grid.t0}, off the lattice of step "
+            f"{grid.h} from t0 = {problem.t0}")
+    k0 = _star_index(problem, N) - (N - grid.N)
+    if k0 < 0:
+        raise GridMismatchError(f"the field's grid starts at {grid.t0}, "
+                                f"after t_star = {problem.t_star}")
+    return k0, N
+
+
+def restart_grid(problem, N):
+    """The grid of the field that the representation formulas read for the
+    problem on the N grid: its nodes from t_star to theta, N - k0 steps.
+    For t_star = t0 it is the N grid itself."""
+    k0 = _star_index(problem, N)
+    t = np.linspace(problem.t0, problem.theta, N + 1)
+    return TriangleGrid(float(t[k0]), problem.theta, N - k0)
 
 
 def _prefix_values(problem, t, k0):
@@ -151,15 +186,14 @@ def _history_integrals(phi: GridFn, alpha, ts):
 def _equation(problem, N):
     """The direct solve's equation past t_star on the N grid, x_k = w0 + H_k
     + (W (A x + b))_k / Gamma(alpha), with H the memory integral of the
-    history's Caputo density and W the left-moment table.  Returns k0, the
-    nodes, then W, A and b on the nodes from t_star, and w0 + H."""
+    history's Caputo density and W the left-moment table of step h.  Returns
+    k0, the nodes, h, then A and b on the nodes from t_star, and w0 + H."""
     alpha = problem.alpha
     t = np.linspace(problem.t0, problem.theta, N + 1)
     k0 = _star_index(problem, N)
     phi = problem.history.caputo_samples(alpha)
     start = problem.w0 + _history_integrals(phi, alpha, t[k0 + 1:])
-    W = left_moment_weights(alpha, N, (problem.theta - problem.t0) / N)
-    return (k0, t, W[:N - k0 + 1, :N - k0 + 1], problem.A.at(t[k0:]),
+    return (k0, t, (problem.theta - problem.t0) / N, problem.A.at(t[k0:]),
             problem.b.at(t[k0:]), start)
 
 
@@ -167,11 +201,18 @@ def equation_residual(problem, x: GridFn):
     """Max residual of the discretized integral equation over nodes past t_star.
 
     The equation states x(t) = w(t0) + history integral + memory integral of
-    A x + b from t_star to t, as solve_direct assembles and solves it.
+    A x + b from t_star to t, as solve_direct assembles and solves it.  W v
+    is summed from left_moment_profile, one convolution per component,
+    without the dense table.
     """
-    k0, _, W, Anodes, bnodes, start = _equation(problem, x.N)
+    k0, _, h, Anodes, bnodes, start = _equation(problem, x.N)
     v = np.einsum("mab,mb->ma", Anodes, x.values[k0:]) + bnodes
-    rhs = start + (W[1:] @ v) / gamma(problem.alpha)
+    M = x.N - k0
+    far, profile = left_moment_profile(problem.alpha, h, M)
+    Wv = far[:, None] * v[0]
+    for c in range(problem.n):
+        Wv[:, c] += np.convolve(profile, v[1:, c])[:M]
+    rhs = start + Wv / gamma(problem.alpha)
     return float(np.abs(x.values[k0 + 1:] - rhs).max())
 
 
@@ -188,8 +229,9 @@ def solve_direct(problem: CauchyProblem, N: int) -> Solution:
     if N < 1:
         raise DomainError("need N >= 1")
     t_start = time.perf_counter()
-    k0, t, W, Anodes, bnodes, start = _equation(problem, N)
+    k0, t, h, Anodes, bnodes, start = _equation(problem, N)
     ga, M = gamma(problem.alpha), N - k0
+    W = left_moment_weights(problem.alpha, N, h)[:M + 1, :M + 1]
     xv = np.empty((N + 1, problem.n))
     xv[:k0 + 1] = _prefix_values(problem, t, k0)
     rhs = np.zeros((M + 1, problem.n, 1))
@@ -382,40 +424,48 @@ def _formula_at_t0(problem, field, method, t_start):
 
 
 def represent_pc(problem: CauchyProblem, field: FundamentalField) -> Solution:
-    """Representation formula for a start value given at t0 itself."""
-    if _field_star_index(problem, field) != 0:
+    """Representation formula for a start value given at t0 itself, against
+    the field on the problem's full grid [t0, theta]."""
+    k0, N = _field_star_index(problem, field)
+    if (k0, N) != (0, field.grid.N):
         raise PreconditionError(
             "this formula requires the start segment to collapse to t0")
     return _formula_at_t0(problem, field, METHOD_PC, time.perf_counter())
 
 
-def _general_formula(problem, field, k0, psi_nodes, anchor, start_vec,
+def _general_formula(problem, field, k0, N, psi_nodes, anchor, start_vec,
                      method, t_start):
-    """Shared tail of the two general formulas past t_star.
+    """Shared tail of the two general formulas past t_star, on the problem's
+    N grid; k0 is t_star's index on the field's grid.
 
     The memory term integrates psi - anchor, with its first subinterval from
     the proper-integral form of psi; the affine part starts from start_vec;
-    nodes up to t_star come from the start segment.
+    nodes up to t_star come from the start segment on the problem's grid.
     """
     w_seg = problem.history.w_star
-    xv = np.empty((field.grid.N + 1, problem.n))
-    xv[k0:] = _formula_rows(
+    k_star = N - field.grid.N + k0
+    xv = np.empty((N + 1, problem.n))
+    xv[k_star:] = _formula_rows(
         problem, field, k0, start_vec, psi_nodes - anchor,
         lambda ts: _psi_from_history(w_seg, problem.alpha, ts) - anchor)
-    xv[:k0 + 1] = _prefix_values(problem, field.grid.t, k0)
+    xv[:k_star + 1] = _prefix_values(
+        problem, np.linspace(problem.t0, problem.theta, N + 1), k_star)
     return _assemble(problem, xv, method, t_start)
 
 
 def represent_gc(problem: CauchyProblem, field: FundamentalField) -> Solution:
     """General representation: memory enters through the split modified
-    forcing, with the continuation functional's cusp handled exactly."""
+    forcing, with the continuation functional's cusp handled exactly.
+
+    Past t0 the field may start at t_star (restart_grid); at t_star = t0
+    this is represent_pc."""
     t_start = time.perf_counter()
-    k0 = _field_star_index(problem, field)
-    if k0 == 0:
+    k0, N = _field_star_index(problem, field)
+    if (k0, N) == (0, field.grid.N):
         return _formula_at_t0(problem, field, METHOD_GC, t_start)
     phi = problem.history.caputo_samples(problem.alpha)
     psi_nodes = _psi_defining(phi, problem.alpha, field.grid.t[k0:])
-    return _general_formula(problem, field, k0, psi_nodes, psi_nodes[0],
+    return _general_formula(problem, field, k0, N, psi_nodes, psi_nodes[0],
                             problem.history.w_star.values[-1], METHOD_GC,
                             t_start)
 
@@ -424,14 +474,15 @@ def represent_gc_compact(problem: CauchyProblem,
                          field: FundamentalField) -> Solution:
     """Compact representation: consumes only the segment itself, never its
     Caputo density.  The middle term is not continuous at t_star, so that
-    node is set from the start segment, not from the formula."""
+    node is set from the start segment, not from the formula.  The field is
+    as for represent_gc."""
     t_start = time.perf_counter()
-    k0 = _field_star_index(problem, field)
-    if k0 == 0:
+    k0, N = _field_star_index(problem, field)
+    if (k0, N) == (0, field.grid.N):
         return _formula_at_t0(problem, field, METHOD_GC_COMPACT, t_start)
     psi_nodes = _psi_from_history(problem.history.w_star, problem.alpha,
                                   field.grid.t[k0:])
-    return _general_formula(problem, field, k0, psi_nodes, 0.0, problem.w0,
+    return _general_formula(problem, field, k0, N, psi_nodes, 0.0, problem.w0,
                             METHOD_GC_COMPACT, t_start)
 
 
@@ -441,9 +492,10 @@ def gc_compact_identity_residual(problem, field, steps):
     Id + integral of F A (t-.)^(alpha-1) must match 1/Gamma(1-alpha) times
     the integral of F (t-.)^(alpha-1) (.-t_star)^(-alpha); returns the max
     entry residual at each requested step count past t_star.  Only the
-    field rows up to the largest step are summed.
+    field rows up to the largest step are summed.  The field is as for
+    represent_gc.
     """
-    k0 = _field_star_index(problem, field)
+    k0, _ = _field_star_index(problem, field)
     alpha = problem.alpha
     N = field.grid.N
     M = N - k0

@@ -23,7 +23,7 @@ except ImportError:  # not on every platform
     resource = None
 
 from .cauchy import (represent_gc, represent_gc_compact, represent_pc,
-                     solve_direct)
+                     restart_grid, solve_direct)
 from .checks import all_pass, run_suite
 from .errors import (GridMismatchError, NonConvergenceError,
                      PreconditionError, ProblemSpecError, SingularSystemError,
@@ -187,6 +187,9 @@ def cmd_fundamental(args):
                    {"alpha": problem.alpha, **field.meta})
 
 
+# the field meta a representation solve's sidecar carries
+_FIELD_KEYS = ("field_bytes", "tables_s", "march_s", "factor_s", "solves_s")
+
 _SOLVERS = {
     "direct": None,
     "repr-pc": represent_pc,
@@ -196,13 +199,17 @@ _SOLVERS = {
 
 
 def cmd_solve(args):
+    """A representation solve marches the field on restart_grid only, from
+    t_star on; its sidecar names that field's grid and phases."""
     problem, grid_N = _load(args)
     if args.method == "direct":
         sol = solve_direct(problem, grid_N)
-    else:
-        grid = TriangleGrid(problem.t0, problem.theta, grid_N)
-        sol = _SOLVERS[args.method](problem, solve_F(problem, grid))
-    return _export(args, sol, sol.x.values, sol.sidecar())
+        return _export(args, sol, sol.x.values, sol.sidecar())
+    field = solve_F(problem, restart_grid(problem, grid_N))
+    sol = _SOLVERS[args.method](problem, field)
+    marched = {"t0": field.grid.t0, "N": field.grid.N,
+               **{key: field.meta[key] for key in _FIELD_KEYS}}
+    return _export(args, sol, sol.x.values, {**sol.sidecar(), "field": marched})
 
 
 def cmd_verify(args):

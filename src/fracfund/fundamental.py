@@ -9,8 +9,9 @@ with one column. A fixed-point iteration under an exponentially weighted norm
 is kept as a cross-check. The field's marches, the iteration and dual_residual
 (verify's duality) read the weights from _field_weights. A field march keeps
 its running products A F in the zero half of the field's own buffer, above
-the diagonal, so a field costs one square per component. A-priori sup and
-Hoelder bounds for F are computed from the coefficient's sup norm.
+the diagonal, so a field costs one square per component. Every solver takes
+a grid that ends at theta and starts at t0 or later (_check_grid). A-priori
+sup and Hoelder bounds for F are computed from the coefficient's sup norm.
 """
 
 from __future__ import annotations
@@ -156,10 +157,15 @@ def bounds(problem: CauchyProblem) -> AprioriBounds:
 
 
 def _check_grid(problem, grid):
+    """A field's grid ends at theta and starts at t0 or later: F(t, s) for
+    s >= grid.t0 reads A on [s, t] only, so a later start gives the
+    sub-triangle of the field on [t0, theta]."""
     span = problem.theta - problem.t0
-    if (abs(grid.t0 - problem.t0) > 1e-12 * span
+    if (grid.t0 < problem.t0 - 1e-12 * span
             or abs(grid.theta - problem.theta) > 1e-12 * span):
-        raise GridMismatchError("grid interval differs from the problem's")
+        raise GridMismatchError(
+            f"grid [{grid.t0}, {grid.theta}] must end at theta = "
+            f"{problem.theta} and start no earlier than t0 = {problem.t0}")
 
 
 # Steps per block and per sub-block of the march (see _march).
@@ -369,10 +375,14 @@ def solve_F(problem: CauchyProblem, grid: TriangleGrid) -> FundamentalField:
 
     Column j marches upward from the diagonal; the unknown node appears
     inside its own moment weight, so each step solves a small n x n system
-    for every column. meta records the time spent on the hat-moment tables
-    (tables_s), on the march (march_s) and, within the march, on the
-    factorisations (factor_s) and the substitutions (solves_s), and the
-    bytes of the field's buffer (field_bytes).
+    for every column. The grid ends at theta and may start at any point of
+    [t0, theta): F(t, s) for s >= grid.t0 reads A on [s, t] only, so such a
+    grid gives the sub-triangle of the field on [t0, theta], which is all a
+    restart from that point reads (cauchy.restart_grid). meta records the
+    time spent on the hat-moment tables (tables_s), on the march (march_s)
+    and, within the march, on the factorisations (factor_s) and the
+    substitutions (solves_s), and the bytes of the field's buffer
+    (field_bytes).
     """
     _check_grid(problem, grid)
     t_start = time.perf_counter()

@@ -176,14 +176,22 @@ def left_moment_weights(alpha: float, N: int, h: float) -> np.ndarray:
     read-only and cached for one (alpha, N, h) only: all callers on a problem's
     grid share that key, and each kept entry pins an (N+1)^2 matrix.
     """
-    # W[k, j] depends on k - j alone: the interval at distance d before t_k
-    # gives far[d-1] to its far node and near[d-1] to its near node
-    far, near = lattice_hat_moments(alpha, h, N)
+    far, profile = left_moment_profile(alpha, h, N)
     W = np.zeros((N + 1, N + 1))
     W[1:, 0] = far
-    W[1:, 1:] = _lower_toeplitz(np.concatenate([near[:1], far[:-1] + near[1:]]))
+    W[1:, 1:] = _lower_toeplitz(profile)
     W.flags.writeable = False
     return W
+
+
+def left_moment_profile(alpha: float, h: float, N: int):
+    """The O(N) numbers behind left_moment_weights: W[k, 0] = far[k - 1] and
+    W[k, j] = profile[k - j] for 1 <= j <= k <= N, so W[1:] @ v is far v[0]
+    plus the convolution of profile with v[1:]."""
+    # the interval at distance d before t_k gives far[d-1] to its far node
+    # and near[d-1] to its near node
+    far, near = lattice_hat_moments(alpha, h, N)
+    return far, np.concatenate([near[:1], far[:-1] + near[1:]])
 
 
 def left_moments_at(alpha: float, nodes: np.ndarray, t):

@@ -11,6 +11,7 @@ from fracfund import (
     Coefficient,
     DomainError,
     Forcing,
+    FundamentalField,
     GridFn,
     GridMismatchError,
     History,
@@ -527,9 +528,9 @@ def _reference_identity_residual(problem, field, k0, steps):
     return out, scale
 
 
-def _drifting_problem(n, alpha, k0, N):
+def _drifting_problem(n, alpha, k0, N, t0=0.2, theta=1.7):
     # time-varying, non-symmetric coefficient, nonzero forcing, and a start
-    # segment ending at node k0 of the N grid on [0.2, 1.7]
+    # segment ending at node k0 of the N grid on [t0, theta]
     A0 = np.array([[0.2, 1.0, 0.4], [-1.3, 0.1, 0.0],
                    [0.3, -0.6, -0.2]])[:n, :n]
     A1 = np.array([[-0.4, 0.3, 0.1], [0.5, 0.6, -0.2],
@@ -539,13 +540,13 @@ def _drifting_problem(n, alpha, k0, N):
     b = Forcing.from_callable(
         n, lambda t: np.array([np.sin(t), 1.0, np.cos(t)])[:n])
     if k0 == 0:
-        return CauchyProblem.from_initial_value(alpha, 0.2, 1.7, A, b,
+        return CauchyProblem.from_initial_value(alpha, t0, theta, A, b,
                                                 np.ones(n))
-    t_star = 0.2 + 1.5 * k0 / N
-    seg = GridFn(0.2, t_star, k0,
-                 np.cos(np.linspace(0.2, t_star, k0 + 1))[:, None]
+    t_star = t0 + (theta - t0) * k0 / N
+    seg = GridFn(t0, t_star, k0,
+                 np.cos(np.linspace(t0, t_star, k0 + 1))[:, None]
                  * np.ones(n))
-    return CauchyProblem(alpha, 0.2, 1.7, A, b, History.from_samples(seg))
+    return CauchyProblem(alpha, t0, theta, A, b, History.from_samples(seg))
 
 
 def _rel(got, ref):
@@ -611,3 +612,92 @@ def test_identity_residual_sums_only_requested_rows(n, monkeypatch):
     assert gc_compact_identity_residual(problem, field, [1, 3]) == [every[0],
                                                                    every[2]]
     assert rows == [4]
+
+
+# --------------------------------------------- the field from t_star on
+
+
+@pytest.mark.parametrize("span", [(0.0, 1.0), (0.2, 1.7)],
+                         ids=["dyadic", "non-dyadic"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_restart_grid_field_is_the_full_fields_sub_triangle(n, span):
+    # k0 = 63, 64, 65 put t_star on either side of the march's first block
+    # edge; the formulas read the restart field where they read the full one
+    N, alpha = 130, 0.55
+    start = _drifting_problem(n, alpha, 0, N, *span)
+    full = solve_F(start, TriangleGrid(*span, N))
+    assert cauchy.restart_grid(start, N) == full.grid
+    t = full.grid.t
+    for k0 in (1, 63, 64, 65, N - 1):
+        problem = _drifting_problem(n, alpha, k0, N, *span)
+        grid = cauchy.restart_grid(problem, N)
+        assert grid == TriangleGrid(float(t[k0]), span[1], N - k0)
+        field = solve_F(problem, grid)
+        ref = full.planes[:, :, k0:, k0:]
+        assert _rel(field.planes, ref) <= 1e-14
+        assert field.meta["N"] == N - k0
+        for formula in (represent_gc, represent_gc_compact):
+            want, got = formula(problem, full), formula(problem, field)
+            assert got.meta["N"] == N
+            assert _rel(got.x.values, want.x.values) <= 1e-14
+            assert np.array_equal(got.x.values[:k0 + 1],
+                                  problem.history.w_star.values)
+        steps = list(range(1, N - k0 + 1))
+        _, scale = _reference_identity_residual(problem, full, k0, steps)
+        got = gc_compact_identity_residual(problem, field, steps)
+        want = gc_compact_identity_residual(problem, full, steps)
+        assert np.abs(np.subtract(got, want)).max() <= 1e-14 * scale
+
+
+def test_restart_grid_field_mismatches_raise():
+    N, k0 = 64, 24
+    problem = _drifting_problem(2, 0.55, k0, N)
+    t, h = np.linspace(0.2, 1.7, N + 1), 1.5 / N
+    grids = [TriangleGrid(float(t[k0 + 1]), 1.7, N - k0 - 1),  # after t_star
+             TriangleGrid(float(t[k0]) - 0.5 * h, 1.7, N - k0),  # off lattice
+             TriangleGrid(float(t[k0]), float(t[N - 1]), N - k0 - 1),  # short
+             TriangleGrid(0.1, 1.7, N)]  # before t0
+    for grid in grids:
+        field = FundamentalField(grid, problem.alpha,
+                                 np.zeros((2, 2, grid.N + 1, grid.N + 1)))
+        for formula in (represent_gc, represent_gc_compact, represent_pc):
+            with pytest.raises(GridMismatchError):
+                formula(problem, field)
+        with pytest.raises(GridMismatchError):
+            gc_compact_identity_residual(problem, field, [1])
+    # the march refuses the last two grids itself
+    for grid in grids[2:]:
+        with pytest.raises(GridMismatchError):
+            solve_F(problem, grid)
+
+
+def test_represent_pc_needs_a_field_from_t0():
+    N, k0 = 64, 24
+    restart = _drifting_problem(2, 0.55, k0, N)
+    start = _drifting_problem(2, 0.55, 0, N)
+    field = solve_F(restart, cauchy.restart_grid(restart, N))
+    with pytest.raises(PreconditionError):
+        represent_pc(restart, field)  # the problem's segment is no point
+    with pytest.raises(GridMismatchError):
+        represent_pc(start, field)  # the field starts after t_star = t0
+    for formula in (represent_gc, represent_gc_compact):
+        with pytest.raises(GridMismatchError):
+            formula(start, field)
+
+
+@pytest.mark.parametrize("k0", [0, 5])
+@pytest.mark.parametrize("n", [1, 2])
+def test_equation_residual_matches_the_dense_table(n, k0):
+    # the residual's convolution against W[1:] @ v with the dense table
+    N, alpha = 130, 0.3
+    problem = _drifting_problem(n, alpha, k0, N)
+    x = solve_direct(problem, N).x
+    x.values[k0 + 1:] += np.random.default_rng(n).standard_normal(
+        (N - k0, n)) * 1e-3
+    kk, _, h, A, b, start = cauchy._equation(problem, N)
+    W = left_moment_weights(alpha, N, h)[:N - k0 + 1, :N - k0 + 1]
+    rhs = start + (W[1:] @ (np.einsum("mab,mb->ma", A, x.values[k0:]) + b)
+                   ) / gamma(alpha)
+    want = np.abs(x.values[k0 + 1:] - rhs).max()
+    assert kk == k0 and want > 1e-4
+    assert abs(equation_residual(problem, x) - want) <= 1e-14 * np.abs(rhs).max()

@@ -339,6 +339,55 @@ def test_samples_short_of_the_window_rejected(tmp_path, capsys, key):
     assert not out.exists()
 
 
+def test_restart_marches_the_field_from_t_star(tmp_path):
+    # a CLI restart marches F on [t_star, theta] only and writes the values
+    # of the in-process solve against the full field
+    N, k0 = 96, 29
+    common = dict(n=2, A={"preset": "rotation"},
+                  b={"preset": "cosine", "vector": [0.0, 1.0], "omega": 2.0},
+                  grid_N=N)
+    cfg = _write_config(tmp_path, history={"w0": [1.0, 0.0]}, **common)
+    assert main(["solve", "--config", str(cfg), "--method", "direct",
+                 "--out", str(tmp_path / "full.csv")]) == 0
+    history = read_csv(tmp_path / "full.csv", value_shape=(2,)).values
+    t_star = float(np.linspace(0.0, 1.0, N + 1)[k0])
+    cfg = _write_config(tmp_path, name="restart.json",
+                        history={"w_star_csv": "full.csv", "t_star": t_star},
+                        **common)
+    problem, _ = cli.load_problem(json.loads(cfg.read_text()), str(tmp_path))
+    full = fundamental.solve_F(problem, fundamental.TriangleGrid(0.0, 1.0, N))
+    M = N - k0
+    for method, formula in (("repr-gc", cauchy.represent_gc),
+                            ("repr-gc-compact", cauchy.represent_gc_compact)):
+        out = tmp_path / f"{method}.csv"
+        assert main(["solve", "--config", str(cfg), "--method", method,
+                     "--out", str(out)]) == 0
+        got = read_csv(out, value_shape=(2,)).values
+        want = formula(problem, full).x.values
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.array_equal(got[:k0 + 1], history[:k0 + 1])
+        side = json.loads((tmp_path / f"{out.name}.meta.json").read_text())
+        assert side["N"] == N
+        assert set(side["field"]) == {"t0", "N", "field_bytes", "tables_s",
+                                      "march_s", "factor_s", "solves_s"}
+        assert side["field"]["N"] == M and side["field"]["t0"] == t_star
+        assert side["field"]["field_bytes"] == 4 * (M + 2) * (M + 65) * 8
+
+
+def test_restart_t_star_off_the_grid_exits_2(tmp_path, capsys):
+    # t_star = 0.3 is node 18 of the segment's 30 steps on [0, 0.5], but no
+    # node of the grid_N = 64 grid, whose restart field would start there
+    write_csv(GridFn(0.0, 0.5, 30, np.ones((31, 1))), tmp_path / "seg.csv")
+    cfg = _write_config(tmp_path,
+                        history={"w_star_csv": "seg.csv", "t_star": 0.3})
+    for method in ("repr-gc", "repr-gc-compact"):
+        out = tmp_path / f"{method}.csv"
+        assert main(["solve", "--config", str(cfg), "--method", method,
+                     "--out", str(out)]) == 2
+        assert "is not a node of the N=64 grid" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def _unit_density_run(tmp_path, theta, N):
     """w = t^alpha / Gamma(1 + alpha) and its Caputo density 1 on [0, theta]."""
     t = np.linspace(0.0, theta, N + 1)
@@ -572,6 +621,9 @@ def test_artefacts_record_memory(tmp_path):
     # the field's one buffer: planes, a padding row and _BLOCK columns
     assert docs[0]["field_bytes"] == 66 * 129 * 8
     assert all("field_bytes" not in doc for doc in docs[1:])
+    # a representation solve names the field it marched
+    assert docs[2]["field"]["N"] == 64 and docs[2]["field"]["t0"] == 0.0
+    assert docs[2]["field"]["field_bytes"] == 66 * 129 * 8
 
 
 def test_verify_runs_r_operator_once(tmp_path, monkeypatch):

@@ -554,9 +554,13 @@ def test_parallel_csv_from_a_daemonic_worker(tmp_path, monkeypatch):
 
 
 def test_grid_interval_must_match():
+    # a grid ends at theta and starts no earlier than t0
     p = _ivp(Coefficient.rotation())
     with pytest.raises(GridMismatchError):
         solve_F(p, TriangleGrid(0.0, 2.0, 16))
+    with pytest.raises(GridMismatchError):
+        solve_F(p, TriangleGrid(-0.5, 1.0, 16))
+    assert solve_F(p, TriangleGrid(0.5, 1.0, 8)).grid.N == 8
 
 
 def test_picard_budget():
