@@ -15,25 +15,17 @@ row sum fundamental._field_rows: every weighted term is summed against the
 field rows, and the exact first subinterval enters as a per-target head on
 the nodes at t_star and one step later.
 
-The formulas read F(t, s) for t_star <= s <= t only, and F there depends
-on A only on [s, t].  So they take the problem's field on its N grid of
-[t0, theta], or on any tail of that grid that starts at a node at or before
-t_star: restart_grid gives the one from t_star, whose march and tables cost
-(N - k0)^3 and (N - k0)^2 instead of N^3 and N^2.  The solution comes back
-on the problem's N grid either way, with the start segment's values up to
-t_star.  represent_pc, whose segment is the point t0, needs the full grid.
+The formulas read F(t, s) for t_star <= s <= t only, where F depends on A
+only on [s, t].  So they take the problem's field on its N grid, or on any
+tail of it that starts at a node at or before t_star: restart_grid gives the
+one from t_star, whose march and tables cost (N - k0)^3 and (N - k0)^2, not
+N^3 and N^2.  The solution comes back on the N grid with the segment's
+values up to t_star.  represent_pc, whose segment is t0, needs the full grid.
 
-The history functionals (the memory integral of the segment, and psi in
-either form) choose their summation from their targets.  Targets t_star +
-k h on the segment's own lattice, which are the nodes of any grid that
-shares the segment's step, see weights that depend on the distance in steps
-alone.  There each functional is one convolution per component (per
-Legendre node for psi's smooth panels) with a profile of O(N) powers; the
-segment's end nodes and psi's singular last panel are added per entry.
-Every other target (the Jacobi points of the first subinterval, a doubled
-grid, a segment read from another grid) takes one closed-form weight per
-(target, node) entry.  Every psi target, t_star included, takes the same
-smooth-panel sum; only the last panel's Jacobi rule differs at t_star.
+The history functionals (the segment's memory integral, and psi in either
+form) are convolutions with O(N) profiles on targets of the segment's own
+lattice, and one closed-form weight per (target, node) entry elsewhere
+(_moment_sums, _smooth_panel_sums).
 """
 
 from __future__ import annotations
@@ -48,9 +40,11 @@ from .errors import DomainError, GridMismatchError, PreconditionError
 from .fundamental import (FundamentalField, TriangleGrid, _check_grid,
                           _field_rows, _march)
 from .gridfn import GridFn
+from .operators import fractional_integral
 from .problem import CauchyProblem
-from .quadrules import (SINGULAR_NODES, SMOOTH_NODES, first_interval_moments,
-                        hat_moment_tables, jacobi_rule_01, lattice_hat_moments,
+from .quadrules import (SINGULAR_NODES, SMOOTH_NODES, _lower_toeplitz,
+                        first_interval_moments, hat_moment_tables,
+                        jacobi_rule_01, lattice_hat_moments,
                         left_moment_profile, left_moment_weights,
                         left_moments_at)
 from .special import gamma
@@ -185,65 +179,61 @@ def _history_integrals(phi: GridFn, alpha, ts):
 
 def _equation(problem, N):
     """The direct solve's equation past t_star on the N grid, x_k = w0 + H_k
-    + (W (A x + b))_k / Gamma(alpha), with H the memory integral of the
-    history's Caputo density and W the left-moment table of step h.  Returns
-    k0, the nodes, h, then A and b on the nodes from t_star, and w0 + H."""
+    + I(A x + b)(t_k), with H the memory integral of the history's Caputo
+    density and I fractional_integral from t_star.  Returns k0, the nodes,
+    the step h from t_star on, then A and b on those nodes, and w0 + H."""
     alpha = problem.alpha
     t = np.linspace(problem.t0, problem.theta, N + 1)
     k0 = _star_index(problem, N)
     phi = problem.history.caputo_samples(alpha)
     start = problem.w0 + _history_integrals(phi, alpha, t[k0 + 1:])
-    return (k0, t, (problem.theta - problem.t0) / N, problem.A.at(t[k0:]),
-            problem.b.at(t[k0:]), start)
+    return (k0, t, float(problem.theta - t[k0]) / (N - k0),
+            problem.A.at(t[k0:]), problem.b.at(t[k0:]), start)
 
 
 def equation_residual(problem, x: GridFn):
     """Max residual of the discretized integral equation over nodes past t_star.
 
     The equation states x(t) = w(t0) + history integral + memory integral of
-    A x + b from t_star to t, as solve_direct assembles and solves it.  W v
-    is summed from left_moment_profile, one convolution per component,
-    without the dense table.
+    A x + b from t_star to t, as solve_direct assembles and solves it; the
+    memory integral is fractional_integral's, which builds no dense table.
     """
-    k0, _, h, Anodes, bnodes, start = _equation(problem, x.N)
+    k0, t, _, Anodes, bnodes, start = _equation(problem, x.N)
     v = np.einsum("mab,mb->ma", Anodes, x.values[k0:]) + bnodes
-    M = x.N - k0
-    far, profile = left_moment_profile(problem.alpha, h, M)
-    Wv = far[:, None] * v[0]
-    for c in range(problem.n):
-        Wv[:, c] += np.convolve(profile, v[1:, c])[:M]
-    rhs = start + Wv / gamma(problem.alpha)
-    return float(np.abs(x.values[k0 + 1:] - rhs).max())
+    memory = fractional_integral(GridFn(t[k0], problem.theta, x.N - k0, v),
+                                 problem.alpha)
+    return float(np.abs(x.values[k0 + 1:] - (start + memory.values[1:])).max())
 
 
 def solve_direct(problem: CauchyProblem, N: int) -> Solution:
     """Implicit product-integration march of the equivalent integral equation.
 
-    The field's march, fundamental._march, with one column from t_star and
-    a state array of its own: T is the left-moment table W, c_k =
-    1/Gamma(alpha), and R_k gathers w0, the history's memory integral (of
-    its Caputo density) and the forcing's, (W b)_k/Gamma(alpha). meta
-    records the time spent on the factorisations (factor_s) and the
+    The field's march, fundamental._march, with one column and O(N) memory:
+    T is a Toeplitz view of the left-moment profile, c_k = 1/Gamma(alpha),
+    and R_k gathers w0, the history's memory integral (of its Caputo
+    density) and fractional_integral of b and of the known A x at t_star.
+    The state's row 0 stays zero, so the view's column 0 is never used.
+    meta records the seconds of the factorisations (factor_s) and the
     substitutions (solves_s).
     """
     if N < 1:
         raise DomainError("need N >= 1")
     t_start = time.perf_counter()
     k0, t, h, Anodes, bnodes, start = _equation(problem, N)
-    ga, M = gamma(problem.alpha), N - k0
-    W = left_moment_weights(problem.alpha, N, h)[:M + 1, :M + 1]
+    alpha, M = problem.alpha, N - k0
     xv = np.empty((N + 1, problem.n))
     xv[:k0 + 1] = _prefix_values(problem, t, k0)
+    known = GridFn(t[k0], problem.theta, M, bnodes.copy())
+    known.values[0] += Anodes[0] @ xv[k0]
     rhs = np.zeros((M + 1, problem.n, 1))
-    rhs[1:, :, 0] = start + (W[1:] @ bnodes) / ga
-
-    AX = np.zeros((M + 1, problem.n, 1, 1))
-    AX[0, :, 0, 0] = Anodes[0] @ xv[k0]
+    rhs[1:, :, 0] = start + fractional_integral(known, alpha).values[1:]
+    T = _lower_toeplitz(left_moment_profile(alpha, h, M + 1)[1])
 
     def store(k, X):
         xv[k0 + k] = X[:, 0, 0]
 
-    phases = _march(Anodes, W, np.full(M + 1, 1.0 / ga), rhs, AX, store)
+    phases = _march(Anodes, T, np.full(M + 1, 1.0 / gamma(alpha)), rhs,
+                    np.zeros((M + 1, problem.n, 1, 1)), store)
     return _assemble(problem, xv, METHOD_DIRECT, t_start, **phases)
 
 
@@ -423,13 +413,17 @@ def _formula_at_t0(problem, field, method, t_start):
                      method, t_start)
 
 
+def check_pc(problem, N):
+    """represent_pc's precondition on the N grid, before any march."""
+    if _star_index(problem, N):
+        raise PreconditionError(
+            "this formula requires the start segment to collapse to t0")
+
+
 def represent_pc(problem: CauchyProblem, field: FundamentalField) -> Solution:
     """Representation formula for a start value given at t0 itself, against
     the field on the problem's full grid [t0, theta]."""
-    k0, N = _field_star_index(problem, field)
-    if (k0, N) != (0, field.grid.N):
-        raise PreconditionError(
-            "this formula requires the start segment to collapse to t0")
+    check_pc(problem, _field_star_index(problem, field)[1])
     return _formula_at_t0(problem, field, METHOD_PC, time.perf_counter())
 
 

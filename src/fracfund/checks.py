@@ -26,7 +26,6 @@ from .operators import (caputo_derivative, fractional_integral, j_operator,
                         op_constants, r_operator)
 from .oracle import constant_coeff_F
 from .problem import CauchyProblem, History
-from .quadrules import left_moment_weights
 from .special import MLParams, gamma, mittag_leffler, ml_scalar
 
 SLACK = 1.05
@@ -74,7 +73,6 @@ def operator_checks(problem, N):
     alpha = problem.alpha
     oc = op_constants(alpha)
     t = np.linspace(problem.t0, problem.theta, N + 1)
-    h = (problem.theta - problem.t0) / N
     out = []
     # scale-free: the round trip's error is the same on every window
     x = GridFn(problem.t0, problem.theta, N,
@@ -107,8 +105,8 @@ def operator_checks(problem, N):
     np.fill_diagonal(excess, -1.0)
     out.append(_record("bound_j_hoelder", excess.max(), 0.0))
 
-    W = left_moment_weights(alpha, N, h)
-    rhs = SLACK * oc.M_J / gamma(alpha) * (W @ runmax)
+    rhs = SLACK * oc.M_J * fractional_integral(
+        GridFn(problem.t0, problem.theta, N, runmax), alpha).values
     out.append(_record("bound_j_integral",
                        (np.abs(jv)[1:] - rhs[1:]).max(), 0.0))
     return out
@@ -269,9 +267,7 @@ def history_functional_checks(problem, N):
     the weighted modified forcing, both under grid doubling."""
     alpha = problem.alpha
     phi = problem.history.caputo_samples(alpha)
-    out = []
-    moduli = []
-    weighted = []
+    moduli, weighted = [], []
     for mult in (1, 2):
         M = (N - _star_index(problem, N)) * mult
         carrier = GridFn(problem.t_star, problem.theta, M,
@@ -284,12 +280,9 @@ def history_functional_checks(problem, N):
         weighted.append(
             (np.abs(bs.values[1:]).max(axis=1) * steps).max())
     tiny = 1e-300
-    out.append(_record("psi_modulus_stable",
-                       moduli[1] / (moduli[0] + tiny), 1.5))
-    out.append(_record("b_star_weighted_bounded",
-                       weighted[1] / (weighted[0] + tiny), 1.5))
-
-    return out
+    return [_record("psi_modulus_stable", moduli[1] / (moduli[0] + tiny), 1.5),
+            _record("b_star_weighted_bounded",
+                    weighted[1] / (weighted[0] + tiny), 1.5)]
 
 
 def all_pass(records) -> bool:

@@ -1,7 +1,8 @@
 """Batch front end: JSON configs in, CSV results and JSON reports out.
 
 Exit codes are part of the contract: 0 success, 1 verification failure,
-2 config error, 3 numerical error, 4 method precondition violated. A
+2 config error, 3 numerical error, 4 method precondition violated. Any
+other exception exits 3 with its type named, never 1. A
 `fundamental` or `solve` whose result is not finite exits 3 and writes no
 CSV, as does a RuntimeWarning raised as an error. A failed write, such as
 a field CSV export whose formatting fails, exits 2. `fundamental` always
@@ -22,8 +23,8 @@ try:
 except ImportError:  # not on every platform
     resource = None
 
-from .cauchy import (represent_gc, represent_gc_compact, represent_pc,
-                     restart_grid, solve_direct)
+from .cauchy import (check_pc, represent_gc, represent_gc_compact,
+                     represent_pc, restart_grid, solve_direct)
 from .checks import all_pass, run_suite
 from .errors import (GridMismatchError, NonConvergenceError,
                      PreconditionError, ProblemSpecError, SingularSystemError,
@@ -205,6 +206,8 @@ def cmd_solve(args):
     if args.method == "direct":
         sol = solve_direct(problem, grid_N)
         return _export(args, sol, sol.x.values, sol.sidecar())
+    if args.method == "repr-pc":
+        check_pc(problem, grid_N)
     field = solve_F(problem, restart_grid(problem, grid_N))
     sol = _SOLVERS[args.method](problem, field)
     marched = {"t0": field.grid.t0, "N": field.grid.N,
@@ -291,6 +294,8 @@ def main(argv=None) -> int:
     except (KeyError, TypeError, ValueError, OSError) as err:
         # covers the domain/spec/grid errors, bad JSON, and missing files
         return _fail(EXIT_CONFIG, err)
+    except Exception as err:  # a defect, never "verification failed"
+        return _fail(EXIT_NUMERICS, f"unexpected {type(err).__name__}: {err}")
 
 
 def _fail(code, err):

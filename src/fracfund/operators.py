@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, GridMismatchError
 from .gridfn import GridFn
-from .quadrules import hat_moment_tables, jacobi_rule_01, left_moment_weights
+from .quadrules import hat_moment_tables, jacobi_rule_01, left_moment_profile
 from .special import gamma
 
 # geometric grading used near the singular end of the R-operator integrals
@@ -81,7 +81,8 @@ def fractional_integral(phi: GridFn, alpha: float, side: str = "left") -> GridFn
 
     side="left" anchors at a (value 0 there), side="right" anchors at b.
     Moments of the singular factor are closed-form, so the result is exact
-    for affine phi up to rounding.
+    for affine phi up to rounding: one convolution per component of the
+    O(N) left-moment profile, with no dense table.
     """
     alpha = _check_alpha(alpha)
     if side not in ("left", "right"):
@@ -90,9 +91,13 @@ def fractional_integral(phi: GridFn, alpha: float, side: str = "left") -> GridFn
         return _reflect(fractional_integral(_reflect(phi), alpha, "left"))
     if phi.N == 0:
         return GridFn(phi.a, phi.b, 0, np.zeros_like(phi.values))
-    W = left_moment_weights(alpha, phi.N, phi.h)
-    out = (W @ _flat(phi.values)) / gamma(alpha)
-    return GridFn(phi.a, phi.b, phi.N, out.reshape(phi.values.shape))
+    N, flat = phi.N, _flat(phi.values)
+    far, profile = left_moment_profile(alpha, phi.h, N)
+    out = np.zeros_like(flat)
+    out[1:] = far[:, None] * flat[0]
+    for c in range(flat.shape[1]):
+        out[1:, c] += np.convolve(profile, flat[1:, c])[:N]
+    return GridFn(phi.a, phi.b, N, (out / gamma(alpha)).reshape(phi.values.shape))
 
 
 def caputo_derivative(x: GridFn, alpha: float) -> GridFn:

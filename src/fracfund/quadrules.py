@@ -5,9 +5,10 @@ adaptive, so repeated runs produce identical bits.  The weights are hat
 function moments: of (t - tau)^(p-1) in one closed form, and of the
 u^eL (1-u)^eR of the normalized marches by fixed Gauss-Jacobi rules, which
 the Golub-Welsch eigenvalue method computes with numpy alone.  Every table
-is a read-only, dense, lower-triangular (N+1) x (N+1) array whose row k
-holds the weights of nodes 0..k for target k and does not depend on N, so
-one table at the grid's N serves every caller on that grid.
+is lower triangular, and its row k, the weights of nodes 0..k for target
+k, does not depend on N: one table at the grid's N serves the grid.  The
+left-moment table is O(N) numbers (left_moment_profile); only the field-row
+sums read it dense.  The hat-moment tables are read-only dense arrays.
 """
 
 from functools import lru_cache
@@ -172,9 +173,10 @@ def left_moment_weights(alpha: float, N: int, h: float) -> np.ndarray:
     involved).  Row 0 is zero; W is lower triangular.  The 1/gamma(alpha)
     normalization of a fractional integral is NOT included.  Row k depends
     only on k, alpha and h, so W[:M + 1, :M + 1] is the table for M <= N:
-    callers ask at the grid's N and read the rows they need.  The result is
-    read-only and cached for one (alpha, N, h) only: all callers on a problem's
-    grid share that key, and each kept entry pins an (N+1)^2 matrix.
+    callers ask at the grid's N.  Only the field-row sums read it dense
+    (cauchy._formula_rows, gc_compact_identity_residual).  It is read-only
+    and cached for one (alpha, N, h), which every restart on a grid shares,
+    so each kept entry pins one (N+1)^2 matrix.
     """
     far, profile = left_moment_profile(alpha, h, N)
     W = np.zeros((N + 1, N + 1))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from fracfund import (
     TriangleGrid,
     b_star,
     equation_residual,
+    fractional_integral,
     gamma,
     gc_compact_identity_residual,
     ml_scalar,
@@ -30,7 +32,7 @@ from fracfund import (
     solve_F,
     solve_direct,
 )
-from fracfund import cauchy, gridfn
+from fracfund import cauchy, checks, gridfn
 from fracfund.cauchy import (METHOD_DIRECT, _formula_rows, _psi_defining,
                              _psi_from_history)
 from fracfund.cli import main
@@ -151,6 +153,25 @@ def test_direct_march_matches_step_loop(M, n, k0):
     ref = _reference_direct(p, N)
     got = solve_direct(p, N).x.values
     assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_direct_solve_builds_no_dense_table():
+    # the march reads a Toeplitz view of the left-moment profile and every
+    # W v is fractional_integral's convolution: no (N+1)^2 table is built
+    # (the dense table at N = 4096 alone is 134 MB; 136.4 MB peak with it)
+    p, N = _cosine_problem(), 4096
+    left_moment_weights.cache_clear()
+    tracemalloc.start()
+    try:
+        sol = solve_direct(p, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6  # measured 2.2 MB
+    assert sol.meta["residual"] < 1e-10
+    fractional_integral(sol.x, p.alpha)
+    checks.operator_checks(p, 64)
+    assert left_moment_weights.cache_info().misses == 0
 
 
 def test_singular_direct_step_is_named(tmp_path):

@@ -170,16 +170,38 @@ def test_unknown_method_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
-def test_repr_pc_needs_collapsed_history(tmp_path):
+def test_repr_pc_needs_collapsed_history(tmp_path, monkeypatch):
+    # the precondition depends on the config alone: refused before the march
+    marched = []
+    monkeypatch.setattr(cli, "solve_F", lambda *args: marched.append(args))
     seg = GridFn(0.0, 0.5, 8, np.ones((9, 1)))
     seg_path = tmp_path / "seg.csv"
     write_csv(seg, seg_path)
     cfg = _write_config(
         tmp_path, history={"w_star_csv": "seg.csv", "t_star": 0.5}
     )
+    out = tmp_path / "o.csv"
     rc = main(["solve", "--config", str(cfg), "--method", "repr-pc",
-               "--out", str(tmp_path / "o.csv")])
+               "--out", str(out)])
     assert rc == 4
+    assert marched == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command", [["fundamental"],
+                                     ["solve", "--method", "repr-gc"]],
+                         ids=["fundamental", "repr-gc"])
+def test_unexpected_exception_exits_3_and_names_it(tmp_path, monkeypatch,
+                                                   capsys, command):
+    # exit 1 means "verification failed"; a defect is no verdict
+    def broken(*args):
+        raise IndexError("index 9 is out of bounds")
+
+    monkeypatch.setattr(cli, "solve_F", broken)
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "o.csv"
+    assert main([*command, "--config", str(cfg), "--out", str(out)]) == 3
+    assert "IndexError" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 @pytest.mark.parametrize("command", [["fundamental"],

@@ -191,6 +191,21 @@ def test_fractional_integral_right_constant():
     np.testing.assert_allclose(out.values, want, atol=1e-13)
 
 
+@pytest.mark.parametrize("shape", [(), (2,), (2, 3)],
+                         ids=["scalar", "vector", "matrix"])
+@pytest.mark.parametrize("alpha", [0.3, 0.75])
+@pytest.mark.parametrize("N", [1, 2, 3, 64, 130])
+def test_fractional_integral_matches_the_dense_table(N, alpha, shape):
+    # the profile's convolution against the dense left-moment table
+    a, b = 0.2, 1.7
+    values = np.random.default_rng(N).standard_normal((N + 1,) + shape)
+    W = left_moment_weights(alpha, N, (b - a) / N)
+    ref = (W @ values.reshape(N + 1, -1)).reshape(values.shape) / gamma(alpha)
+    got = fractional_integral(GridFn(a, b, N, values), alpha).values
+    assert got.shape == values.shape
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 def test_fractional_integral_degenerate():
     phi = GridFn(1.0, 1.0, 0, np.array([[4.0, 5.0]]))
     out = fractional_integral(phi, 0.5)
