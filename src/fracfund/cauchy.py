@@ -11,9 +11,10 @@ alpha-Hoelder at t_star, so the first subinterval of every memory integral is
 integrated with exact point values at fixed Jacobi nodes instead of the
 piecewise-linear shortcut, which would lose the cusp.  Each formula, and the
 identity check that links the two general ones, is one pass of the field's
-row sum fundamental._field_rows: every weighted term is summed against the
-field rows, and the exact first subinterval enters as a per-target head on
-the nodes at t_star and one step later.
+row sum fundamental._field_rows: every weighted term, the left-moment table's
+as its O(N) first column and Toeplitz view, is summed against the field
+rows, and the exact first subinterval enters as a per-target head on the
+nodes at t_star and one step later.
 
 The formulas read F(t, s) for t_star <= s <= t only, where F depends on A
 only on [s, t].  So they take the problem's field on its N grid, or on any
@@ -42,10 +43,9 @@ from .fundamental import (FundamentalField, TriangleGrid, _check_grid,
 from .gridfn import GridFn
 from .operators import fractional_integral
 from .problem import CauchyProblem
-from .quadrules import (SINGULAR_NODES, SMOOTH_NODES, _lower_toeplitz,
-                        first_interval_moments, hat_moment_tables,
-                        jacobi_rule_01, lattice_hat_moments,
-                        left_moment_profile, left_moment_weights,
+from .quadrules import (SINGULAR_NODES, SMOOTH_NODES, first_interval_moments,
+                        hat_moment_tables, jacobi_rule_01,
+                        lattice_hat_moments, left_moment_weights,
                         left_moments_at)
 from .special import gamma
 
@@ -209,7 +209,7 @@ def solve_direct(problem: CauchyProblem, N: int) -> Solution:
     """Implicit product-integration march of the equivalent integral equation.
 
     The field's march, fundamental._march, with one column and O(N) memory:
-    T is a Toeplitz view of the left-moment profile, c_k = 1/Gamma(alpha),
+    T is left_moment_weights' Toeplitz view, O(N), c_k = 1/Gamma(alpha),
     and R_k gathers w0, the history's memory integral (of its Caputo
     density) and fractional_integral of b and of the known A x at t_star.
     The state's row 0 stays zero, so the view's column 0 is never used.
@@ -227,7 +227,7 @@ def solve_direct(problem: CauchyProblem, N: int) -> Solution:
     known.values[0] += Anodes[0] @ xv[k0]
     rhs = np.zeros((M + 1, problem.n, 1))
     rhs[1:, :, 0] = start + fractional_integral(known, alpha).values[1:]
-    T = _lower_toeplitz(left_moment_profile(alpha, h, M + 1)[1])
+    T = left_moment_weights(alpha, M, h)[1]
 
     def store(k, X):
         xv[k0 + k] = X[:, 0, 0]
@@ -360,10 +360,11 @@ def b_star(problem: CauchyProblem, psi: GridFn) -> GridFn:
 
 
 def _formula_rows(problem, field, k0, start_vec, g_nodes=None, g_at=None):
-    """A representation formula on targets t_star + k h, k = 0..N - k0, in
-    one pass over the field rows: start_vec + memory integral of
-    F (A start_vec + b), plus, when g_nodes is given, the memory term
-    integral of F(t,.) g(.) (t-.)^(alpha-1) (.-t_star)^(-alpha).
+    """A representation formula on targets t_star + k h, k = 0..M = N - k0,
+    in one pass over the field rows, with the left-moment weights up to M:
+    start_vec + memory integral of F (A start_vec + b), plus, when g_nodes
+    is given, the memory term integral of F(t,.) g(.) (t-.)^(alpha-1)
+    (.-t_star)^(-alpha).
 
     g is piecewise linear on the grid except on the first subinterval, where
     exact point values g_at(ts) at two fixed Jacobi families replace it
@@ -377,7 +378,7 @@ def _formula_rows(problem, field, k0, start_vec, g_nodes=None, g_at=None):
     grid = field.grid
     alpha, N, M = problem.alpha, grid.N, grid.N - k0
     t = grid.t[k0:]
-    terms = [(left_moment_weights(alpha, N, grid.h),
+    terms = [(left_moment_weights(alpha, M, grid.h),
               problem.A.at(t) @ start_vec + problem.b.at(t))]
     head = None
     if g_nodes is not None:
@@ -393,7 +394,8 @@ def _formula_rows(problem, field, k0, start_vec, g_nodes=None, g_at=None):
         head = np.stack(
             [(wq * (1.0 - v)) @ g_first - sig0[:M + 1, None] * g_nodes[0],
              (wq * v) @ g_first - sig1[:M + 1, None] * g_nodes[1]], axis=1)
-        terms.append((hat_moment_tables(N, -alpha, alpha - 1.0), g_nodes))
+        H = hat_moment_tables(N, -alpha, alpha - 1.0)
+        terms.append(((H[:, 0], H), g_nodes))
     return start_vec + _field_rows(field, k0, terms, head)
 
 
@@ -490,16 +492,15 @@ def gc_compact_identity_residual(problem, field, steps):
     represent_gc.
     """
     k0, _ = _field_star_index(problem, field)
-    alpha = problem.alpha
-    N = field.grid.N
-    M = N - k0
+    alpha, N, K = problem.alpha, field.grid.N, max(steps, default=0)
     for k in steps:
-        if not 1 <= k <= M:
-            raise DomainError(f"step {k} outside 1..{M}")
-    t = field.grid.t[k0:k0 + max(steps, default=0) + 1]
+        if not 1 <= k <= N - k0:
+            raise DomainError(f"step {k} outside 1..{N - k0}")
+    t = field.grid.t[k0:k0 + K + 1]
     eye = np.eye(problem.n)
-    terms = [(left_moment_weights(alpha, N, field.grid.h), problem.A.at(t)),
-             (hat_moment_tables(N, -alpha, alpha - 1.0),
+    H = hat_moment_tables(N, -alpha, alpha - 1.0)
+    terms = [(left_moment_weights(alpha, K, field.grid.h), problem.A.at(t)),
+             ((H[:, 0], H),
               np.broadcast_to(-eye / gamma(1.0 - alpha), t.shape + eye.shape))]
     resid = np.abs(eye + _field_rows(field, k0, terms)).max(axis=(1, 2))
     return [float(resid[k]) for k in steps]

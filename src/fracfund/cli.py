@@ -163,17 +163,31 @@ def _peak_rss():
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 
+def _blas_settings():
+    """{"blas_settings": ...}: what sets the BLAS thread count, on which the
+    last bits of a field and of a direct solve depend. The thread variables,
+    None when unset, and the usable CPU count, from which OpenBLAS sizes its
+    pool when they are unset; settings, not a measured thread count."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    return {"blas_settings": {**{name: os.environ.get(name) for name in names},
+                              "usable_cpus": cpus}}
+
+
 def _export(args, result, values, sidecar):
     """Write result's CSV to args.out, then its sidecar with the export's
-    time, process count and bytes and the peak RSS so far. Unless every
-    entry of values is finite, refuse first, with nothing written."""
+    time, process count and bytes, the peak RSS so far and the BLAS
+    settings. Unless every entry of values is finite, refuse first, with
+    nothing written."""
     if not np.isfinite(values).all():
         raise FloatingPointError(
             f"non-finite result at grid_N = {args.grid_N}; nothing written")
     start = time.perf_counter()
     procs = result.write_csv(args.out)
     export = {"write_s": time.perf_counter() - start, "write_procs": procs,
-              "csv_bytes": os.path.getsize(args.out), **_peak_rss()}
+              "csv_bytes": os.path.getsize(args.out), **_peak_rss(),
+              **_blas_settings()}
     with open(str(args.out) + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump({**sidecar, **export}, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -222,7 +236,8 @@ def cmd_verify(args):
     records, phases = run_suite(problem, grid_N)
     ok = all_pass(records)
     environment = {"python": ".".join(map(str, sys.version_info[:3])),
-                   "numpy": np.__version__, "mpmath": mpmath.__version__}
+                   "numpy": np.__version__, "mpmath": mpmath.__version__,
+                   **_blas_settings()}
     report = {"alpha": problem.alpha, "grid_N": grid_N,
               "checks": records, "all_pass": ok, "phases": phases,
               "environment": environment, **_peak_rss()}

@@ -472,9 +472,11 @@ _ROWS = 128
 
 def _field_rows(field, k0, terms, head=None):
     """sum over m <= k of F(t_{k0+k}, t_{k0+m}) q_k[m], k = 0..len(g) - 1,
-    with q_k[m] the sum of weights[k, m] g[m] over the (weights, g) terms,
-    plus head[k] on q_k[0] and q_k[1] for k >= 1 when given; g holds one
-    node vector or node matrix per node from t_{k0} up to the last target.
+    with q_k[m] the sum of w[k, m] g[m] over the ((first, w), g) terms, w
+    with column 0 set from first, plus head[k] on q_k[0] and q_k[1] for
+    k >= 1 when given; g holds one node vector or node matrix per node from
+    t_{k0} up to the last target. A hat table T passes (T[:, 0], T), the
+    left-moment table its pair (quadrules.left_moment_weights).
 
     The rows are summed _ROWS at a time on the component planes: for each
     (a, b), the block of plane F_ab times the block of a term's weights is
@@ -488,8 +490,9 @@ def _field_rows(field, k0, terms, head=None):
         r1 = min(r0 + _ROWS, K)
         for a in range(field.n):
             for b in range(field.n):
-                for w, g in terms:
+                for (first, w), g in terms:
                     P = F[a, b, r0:r1, :r1] * w[r0:r1, :r1]
+                    P[:, 0] = F[a, b, r0:r1, 0] * first[r0:r1]
                     out[r0:r1, a] += P @ g[:r1, b]
     if head is not None:
         out[1:] += np.einsum("abkm,kmb...->ka...", F[:, :, 1:K, :2], head[1:K])
@@ -504,6 +507,6 @@ def dual_residual(problem: CauchyProblem, field: FundamentalField, columns):
     T, c, ga = _field_weights(field.grid, problem.alpha)
     Anodes, K = problem.A.at(field.grid.t), len(c)
     return np.max([np.abs(field.values[j:, j] - np.eye(problem.n) / ga
-                          - c[:K - j, None, None]
-                          * _field_rows(field, j, [(T, Anodes[j:])])).max()
+                          - c[:K - j, None, None] * _field_rows(
+                              field, j, [((T[:, 0], T), Anodes[j:])])).max()
                    for j in columns])

@@ -7,8 +7,8 @@ u^eL (1-u)^eR of the normalized marches by fixed Gauss-Jacobi rules, which
 the Golub-Welsch eigenvalue method computes with numpy alone.  Every table
 is lower triangular, and its row k, the weights of nodes 0..k for target
 k, does not depend on N: one table at the grid's N serves the grid.  The
-left-moment table is O(N) numbers (left_moment_profile); only the field-row
-sums read it dense.  The hat-moment tables are read-only dense arrays.
+left-moment table is a first column and a Toeplitz view of O(N) numbers;
+the hat-moment tables are read-only dense arrays.
 """
 
 from functools import lru_cache
@@ -165,31 +165,26 @@ def lattice_hat_moments(p: float, h: float, D: int, first: int = 0):
     return far[::-1], near[::-1]
 
 
-@lru_cache(maxsize=1)
-def left_moment_weights(alpha: float, N: int, h: float) -> np.ndarray:
-    """Weights W with  sum_j W[k, j] phi_j = int_a^{t_k} (t_k - tau)^(alpha-1) phi_pl(tau) dtau.
+def left_moment_weights(alpha: float, N: int, h: float):
+    """Weights W with  sum_j W[k, j] phi_j = int_a^{t_k} (t_k - tau)^(alpha-1) phi_pl(tau) dtau,
+    k, j <= N, as (first, T): W's column 0, and the Toeplitz view of
+    left_moment_profile with W[k, j] = T[k, j] for j >= 1; read-only, O(N).
 
     Closed-form hat moments, exact for piecewise-linear data (no quadrature
     involved).  Row 0 is zero; W is lower triangular.  The 1/gamma(alpha)
     normalization of a fractional integral is NOT included.  Row k depends
-    only on k, alpha and h, so W[:M + 1, :M + 1] is the table for M <= N:
-    callers ask at the grid's N.  Only the field-row sums read it dense
-    (cauchy._formula_rows, gc_compact_identity_residual).  It is read-only
-    and cached for one (alpha, N, h), which every restart on a grid shares,
-    so each kept entry pins one (N+1)^2 matrix.
+    only on k, alpha and h, so callers ask at the last row they read.
     """
-    far, profile = left_moment_profile(alpha, h, N)
-    W = np.zeros((N + 1, N + 1))
-    W[1:, 0] = far
-    W[1:, 1:] = _lower_toeplitz(profile)
-    W.flags.writeable = False
-    return W
+    far, profile = left_moment_profile(alpha, h, N + 1)
+    first = np.concatenate([[0.0], far[:-1]])
+    first.flags.writeable = False
+    return first, _lower_toeplitz(profile)
 
 
 def left_moment_profile(alpha: float, h: float, N: int):
     """The O(N) numbers behind left_moment_weights: W[k, 0] = far[k - 1] and
     W[k, j] = profile[k - j] for 1 <= j <= k <= N, so W[1:] @ v is far v[0]
-    plus the convolution of profile with v[1:]."""
+    plus the convolution of profile with v[1:] (fractional_integral)."""
     # the interval at distance d before t_k gives far[d-1] to its far node
     # and near[d-1] to its near node
     far, near = lattice_hat_moments(alpha, h, N)

@@ -21,7 +21,6 @@ from fracfund import (
     TriangleGrid,
     b_star,
     equation_residual,
-    fractional_integral,
     gamma,
     gc_compact_identity_residual,
     ml_scalar,
@@ -32,7 +31,7 @@ from fracfund import (
     solve_F,
     solve_direct,
 )
-from fracfund import cauchy, checks, gridfn
+from fracfund import cauchy, gridfn
 from fracfund.cauchy import (METHOD_DIRECT, _formula_rows, _psi_defining,
                              _psi_from_history)
 from fracfund.cli import main
@@ -55,6 +54,15 @@ def _cosine_problem(t0=0.0, theta=1.0):
     A = Coefficient.cosine(np.array([[0.0, 1.0], [-1.0, 0.0]]), 4.0)
     b = Forcing.from_callable(2, lambda t: np.array([np.sin(t), 1.0]))
     return CauchyProblem.from_initial_value(0.5, t0, theta, A, b, [1.0, 0.0])
+
+
+def _dense_left_weights(alpha, N, h):
+    # the left-moment table as one (N+1)^2 matrix: a copy of its Toeplitz
+    # view with column 0 set from its first column
+    first, T = left_moment_weights(alpha, N, h)
+    W = T.copy()
+    W[:, 0] = first
+    return W
 
 
 # ------------------------------------------------------------- direct march
@@ -118,7 +126,7 @@ def _reference_direct(problem, N):
                                      alpha, t[k0 + 1:])
     A, b = problem.A.at(t), problem.b.at(t)
     ga = gamma(alpha)
-    W = left_moment_weights(alpha, N, (problem.theta - problem.t0) / N)
+    W = _dense_left_weights(alpha, N, (problem.theta - problem.t0) / N)
     xv = np.empty((N + 1, n))
     xv[:k0 + 1] = cauchy._prefix_values(problem, t, k0)
     v = np.empty((N - k0 + 1, n))
@@ -147,7 +155,7 @@ def test_direct_march_matches_step_loop(M, n, k0):
     p = CauchyProblem(alpha, 0.2, 1.7, A, base.b, base.history)
     if n == 2 and M > 1:
         t = np.linspace(0.2, 1.7, N + 1)[k0 + 1:]
-        W = left_moment_weights(alpha, N, 1.5 / N)
+        W = _dense_left_weights(alpha, N, 1.5 / N)
         steps = np.eye(2) - W[1, 1] / gamma(alpha) * A.at(t)
         assert (np.abs(steps[:, 1, 0]) > np.abs(steps[:, 0, 0])).any()
     ref = _reference_direct(p, N)
@@ -160,7 +168,6 @@ def test_direct_solve_builds_no_dense_table():
     # W v is fractional_integral's convolution: no (N+1)^2 table is built
     # (the dense table at N = 4096 alone is 134 MB; 136.4 MB peak with it)
     p, N = _cosine_problem(), 4096
-    left_moment_weights.cache_clear()
     tracemalloc.start()
     try:
         sol = solve_direct(p, N)
@@ -169,9 +176,32 @@ def test_direct_solve_builds_no_dense_table():
         tracemalloc.stop()
     assert peak <= 4e6  # measured 2.2 MB
     assert sol.meta["residual"] < 1e-10
-    fractional_integral(sol.x, p.alpha)
-    checks.operator_checks(p, 64)
-    assert left_moment_weights.cache_info().misses == 0
+
+
+def test_formulas_build_no_dense_table():
+    # the field-row sums read the left-moment table as its first column and
+    # Toeplitz view: no (N+1)^2 table is built (the dense one at N = 1024 is
+    # 8.4 MB; each call below peaked at 9.9-10.7 MB with it)
+    alpha, N, k0 = 0.5, 1024, 307
+    A = Coefficient.cosine(np.array([[0.0, 1.0], [-1.0, 0.0]]), 4.0)
+    b = Forcing.constant([0.0, 1.0])
+    p = CauchyProblem.from_initial_value(alpha, 0.0, 1.0, A, b, [1.0, 0.0])
+    field = solve_F(p, TriangleGrid(0.0, 1.0, N))
+    seg = GridFn(0.0, k0 / N, k0, solve_direct(p, N).x.values[:k0 + 1])
+    r = CauchyProblem(alpha, 0.0, 1.0, A, b, History.from_samples(seg))
+    hat_moment_tables(N, -alpha, alpha - 1.0)
+    first_interval_moments(N, -alpha, alpha - 1.0)
+    calls = [lambda: represent_pc(p, field), lambda: represent_gc(r, field),
+             lambda: represent_gc_compact(r, field),
+             lambda: gc_compact_identity_residual(r, field, [1, N - k0])]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6  # measured 1.5-2.3 MB
 
 
 def test_singular_direct_step_is_named(tmp_path):
@@ -180,7 +210,7 @@ def test_singular_direct_step_is_named(tmp_path):
     # step system is singular; with a only at node k0 + 11, only step 11
     # is, inside the sub-block of steps 9-16
     alpha, N, k0 = 0.5, 64, 8
-    W11 = left_moment_weights(alpha, N, 1.0 / N)[1, 1]
+    W11 = _dense_left_weights(alpha, N, 1.0 / N)[1, 1]
     x = (1.0 / gamma(alpha)) * W11
     a = gamma(alpha) / W11
     while 1.0 - x * a != 0.0:
@@ -490,7 +520,7 @@ def _reference_affine_part(problem, field, k0, base_vec):
     # one field row per target, summed with the left-moment weights
     grid = field.grid
     g = problem.A.at(grid.t) @ base_vec + problem.b.at(grid.t)
-    W = left_moment_weights(problem.alpha, grid.N, grid.h)
+    W = _dense_left_weights(problem.alpha, grid.N, grid.h)
     M = grid.N - k0
     out = np.empty((M + 1, base_vec.size))
     out[0] = base_vec
@@ -534,7 +564,7 @@ def _reference_identity_residual(problem, field, k0, steps):
     alpha = problem.alpha
     N = field.grid.N
     Anodes = problem.A.at(field.grid.t)
-    W = left_moment_weights(alpha, N, field.grid.h)
+    W = _dense_left_weights(alpha, N, field.grid.h)
     tabs = hat_moment_tables(N, -alpha, alpha - 1.0)
     eye = np.eye(problem.n)
     out, scale = [], 0.0
@@ -716,7 +746,7 @@ def test_equation_residual_matches_the_dense_table(n, k0):
     x.values[k0 + 1:] += np.random.default_rng(n).standard_normal(
         (N - k0, n)) * 1e-3
     kk, _, h, A, b, start = cauchy._equation(problem, N)
-    W = left_moment_weights(alpha, N, h)[:N - k0 + 1, :N - k0 + 1]
+    W = _dense_left_weights(alpha, N, h)[:N - k0 + 1, :N - k0 + 1]
     rhs = start + (W[1:] @ (np.einsum("mab,mb->ma", A, x.values[k0:]) + b)
                    ) / gamma(alpha)
     want = np.abs(x.values[k0 + 1:] - rhs).max()

@@ -604,7 +604,7 @@ def test_verify_clean_problem(tmp_path):
         assert rec["pass"] is True
         assert rec["margin"] == rec["threshold"] - rec["residual"] >= 0.0
     env = doc["environment"]
-    assert set(env) == {"python", "numpy", "mpmath"}
+    assert set(env) == {"python", "numpy", "mpmath", "blas_settings"}
     assert env["python"] == ".".join(map(str, sys.version_info[:3]))
     assert env["numpy"] == np.__version__
     assert env["mpmath"] == mpmath.__version__
@@ -646,6 +646,35 @@ def test_artefacts_record_memory(tmp_path):
     # a representation solve names the field it marched
     assert docs[2]["field"]["N"] == 64 and docs[2]["field"]["t0"] == 0.0
     assert docs[2]["field"]["field_bytes"] == 66 * 129 * 8
+
+
+@pytest.mark.parametrize("threads", ["1", None])
+def test_artefacts_record_blas_settings(tmp_path, monkeypatch, threads):
+    # the settings that fix the BLAS thread count, and so a result's last
+    # bits: the variables as set, null when unset, and the usable CPUs
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    if threads is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+    cfg = _write_config(tmp_path, b={"preset": "zero"},
+                        history={"w0": [1.0]}, grid_N=64)
+    docs = []
+    for command in (["fundamental"], ["solve", "--method", "direct"]):
+        out = tmp_path / f"{command[-1]}.csv"
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == 0
+        docs.append(json.loads((tmp_path / f"{out.name}.meta.json").read_text()))
+    report = tmp_path / "report.json"
+    assert main(["verify", "--config", str(cfg), "--report", str(report)]) == 0
+    docs.append(json.loads(report.read_text())["environment"])
+    for doc in docs:
+        settings = doc["blas_settings"]
+        assert settings == {"OPENBLAS_NUM_THREADS": threads,
+                            "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None,
+                            "usable_cpus": settings["usable_cpus"]}
+        assert isinstance(settings["usable_cpus"], int)
+        assert settings["usable_cpus"] >= 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert cli._blas_settings()["blas_settings"]["usable_cpus"] == os.cpu_count()
 
 
 def test_verify_runs_r_operator_once(tmp_path, monkeypatch):

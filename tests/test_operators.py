@@ -55,6 +55,15 @@ KERNEL_E1 = {
 KERNEL_E0 = {0.3: 1.4285714285714286, 0.5: 2.0, 0.7: 3.3333333333333335}
 
 
+def _dense_left_weights(alpha, N, h):
+    # the left-moment table as one (N+1)^2 matrix: a copy of its Toeplitz
+    # view with column 0 set from its first column
+    first, T = left_moment_weights(alpha, N, h)
+    W = T.copy()
+    W[:, 0] = first
+    return W
+
+
 def _grid(a, b, N, fn):
     t = np.linspace(a, b, N + 1)
     return GridFn(a, b, N, fn(t))
@@ -199,7 +208,7 @@ def test_fractional_integral_matches_the_dense_table(N, alpha, shape):
     # the profile's convolution against the dense left-moment table
     a, b = 0.2, 1.7
     values = np.random.default_rng(N).standard_normal((N + 1,) + shape)
-    W = left_moment_weights(alpha, N, (b - a) / N)
+    W = _dense_left_weights(alpha, N, (b - a) / N)
     ref = (W @ values.reshape(N + 1, -1)).reshape(values.shape) / gamma(alpha)
     got = fractional_integral(GridFn(a, b, N, values), alpha).values
     assert got.shape == values.shape
@@ -387,7 +396,7 @@ def test_j_transfer_identity(alpha):
 
 def test_left_moment_weights_row_sums():
     alpha, N, h = 0.5, 20, 0.05
-    W = left_moment_weights(alpha, N, h)
+    W = _dense_left_weights(alpha, N, h)
     k = np.arange(1, N + 1)
     want = (k * h) ** alpha / alpha
     np.testing.assert_allclose(W[1:].sum(axis=1), want, rtol=1e-12)
@@ -397,7 +406,7 @@ def test_left_moment_weights_row_sums():
 
 def test_left_moments_at_matches_table():
     alpha, N, h = 0.35, 12, 0.1
-    W = left_moment_weights(alpha, N, h)
+    W = _dense_left_weights(alpha, N, h)
     for k in (1, 5, 12):
         nodes = h * np.arange(k + 1)
         w = left_moments_at(alpha, nodes, nodes[-1])
@@ -436,8 +445,8 @@ def test_table_rows_do_not_depend_on_table_size(N, M, alpha, eL, eR):
                     first_interval_moments(M, eL, eR)):
         assert np.array_equal(b[:M + 1], s)
     h = 1.0 / N
-    assert np.array_equal(left_moment_weights(alpha, N, h)[:M + 1, :M + 1],
-                          left_moment_weights(alpha, M, h))
+    assert np.array_equal(_dense_left_weights(alpha, N, h)[:M + 1, :M + 1],
+                          _dense_left_weights(alpha, M, h))
 
 
 # the row-by-row builders the dense tables replaced, kept as references
@@ -530,7 +539,7 @@ def test_weight_tables_match_row_builders(N, alpha):
                 (sig0[k], sig1[k]), _reference_first_subinterval(k, eL, eR),
                 rtol=1e-14, atol=0.0)
     h = 0.7 / N
-    assert np.array_equal(left_moment_weights(alpha, N, h),
+    assert np.array_equal(_dense_left_weights(alpha, N, h),
                           _reference_left_weights(alpha, N, h))
     nodes = 0.1 + h * np.arange(N + 1)
     targets = nodes[-1] + h * np.array([0.3, 1.0, 2.5, 17.0])
@@ -559,9 +568,11 @@ def test_j_operator_matches_row_loop(N, alpha):
 
 
 def test_cached_weight_tables_are_read_only():
-    W = left_moment_weights(0.5, 8, 0.125)
+    first, T = left_moment_weights(0.5, 8, 0.125)
     with pytest.raises(ValueError):
-        W[1, 0] = 1.0
+        first[1] = 1.0
+    with pytest.raises(ValueError):
+        T[1, 1] = 1.0
     with pytest.raises(ValueError):
         hat_moment_tables(8, -0.5, -0.5)[3][0] = 1.0
     with pytest.raises(ValueError):
