@@ -13,8 +13,9 @@ piecewise-linear shortcut, which would lose the cusp.  Each formula, and the
 identity check that links the two general ones, is one pass of the field's
 row sum fundamental._field_rows: every weighted term, the left-moment table's
 as its O(N) first column and Toeplitz view, is summed against the field
-rows, and the exact first subinterval enters as a per-target head on the
-nodes at t_star and one step later.
+rows, one fused einsum per block of target rows and term, and the exact first
+subinterval enters as a per-target head on the nodes at t_star and one step
+later.  Each formula records the seconds of that pass as rows_s in its meta.
 
 The formulas read F(t, s) for t_star <= s <= t only, where F depends on A
 only on [s, t].  So they take the problem's field on its N grid, or on any
@@ -364,7 +365,8 @@ def _formula_rows(problem, field, k0, start_vec, g_nodes=None, g_at=None):
     in one pass over the field rows, with the left-moment weights up to M:
     start_vec + memory integral of F (A start_vec + b), plus, when g_nodes
     is given, the memory term integral of F(t,.) g(.) (t-.)^(alpha-1)
-    (.-t_star)^(-alpha).
+    (.-t_star)^(-alpha).  Returns the values and the seconds of the row sum
+    (rows_s), which every formula records in its meta.
 
     g is piecewise linear on the grid except on the first subinterval, where
     exact point values g_at(ts) at two fixed Jacobi families replace it
@@ -396,7 +398,9 @@ def _formula_rows(problem, field, k0, start_vec, g_nodes=None, g_at=None):
              (wq * v) @ g_first - sig1[:M + 1, None] * g_nodes[1]], axis=1)
         H = hat_moment_tables(N, -alpha, alpha - 1.0)
         terms.append(((H[:, 0], H), g_nodes))
-    return start_vec + _field_rows(field, k0, terms, head)
+    t_rows = time.perf_counter()
+    rows = _field_rows(field, k0, terms, head)
+    return start_vec + rows, time.perf_counter() - t_rows
 
 
 def _assemble(problem, xv, method, t_start, **phases):
@@ -411,8 +415,8 @@ def _assemble(problem, xv, method, t_start, **phases):
 
 def _formula_at_t0(problem, field, method, t_start):
     """Either formula when the start segment collapses to t0: no memory."""
-    return _assemble(problem, _formula_rows(problem, field, 0, problem.w0),
-                     method, t_start)
+    xv, rows_s = _formula_rows(problem, field, 0, problem.w0)
+    return _assemble(problem, xv, method, t_start, rows_s=rows_s)
 
 
 def check_pc(problem, N):
@@ -441,12 +445,12 @@ def _general_formula(problem, field, k0, N, psi_nodes, anchor, start_vec,
     w_seg = problem.history.w_star
     k_star = N - field.grid.N + k0
     xv = np.empty((N + 1, problem.n))
-    xv[k_star:] = _formula_rows(
+    xv[k_star:], rows_s = _formula_rows(
         problem, field, k0, start_vec, psi_nodes - anchor,
         lambda ts: _psi_from_history(w_seg, problem.alpha, ts) - anchor)
     xv[:k_star + 1] = _prefix_values(
         problem, np.linspace(problem.t0, problem.theta, N + 1), k_star)
-    return _assemble(problem, xv, method, t_start)
+    return _assemble(problem, xv, method, t_start, rows_s=rows_s)
 
 
 def represent_gc(problem: CauchyProblem, field: FundamentalField) -> Solution:

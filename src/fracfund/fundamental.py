@@ -9,9 +9,11 @@ with one column. A fixed-point iteration under an exponentially weighted norm
 is kept as a cross-check. The field's marches, the iteration and dual_residual
 (verify's duality) read the weights from _field_weights. A field march keeps
 its running products A F in the zero half of the field's own buffer, above
-the diagonal, so a field costs one square per component. Every solver takes
-a grid that ends at theta and starts at t0 or later (_check_grid). A-priori
-sup and Hoelder bounds for F are computed from the coefficient's sup norm.
+the diagonal, so a field costs one square per component. Every integral of
+the field against node data (dual_residual, the cauchy formulas) is one row
+sum, _field_rows, in one fused pass per term. Every solver takes a grid that
+ends at theta and starts at t0 or later (_check_grid). A-priori sup and
+Hoelder bounds for F are computed from the coefficient's sup norm.
 """
 
 from __future__ import annotations
@@ -479,21 +481,25 @@ def _field_rows(field, k0, terms, head=None):
     left-moment table its pair (quadrules.left_moment_weights).
 
     The rows are summed _ROWS at a time on the component planes: for each
-    (a, b), the block of plane F_ab times the block of a term's weights is
-    one matrix product with g[:, b]. The block's square tip reaches above
-    the diagonal, where the planes and the weights hold zeros.
+    (a, b), term and column of g[:, b], one einsum reads the block of plane
+    F_ab, the block of the term's weights past column 0 and the column, and
+    adds to the block's target rows; column 0 comes from first. No block
+    product is written and no BLAS called. The block's square tip reaches
+    above the diagonal, where the planes and the weights hold zeros.
     """
     F = field.planes[:, :, k0:, k0:]
     out = np.zeros(terms[0][1].shape)
     K = out.shape[0]
     for r0 in range(0, K, _ROWS):
         r1 = min(r0 + _ROWS, K)
-        for a in range(field.n):
-            for b in range(field.n):
-                for (first, w), g in terms:
-                    P = F[a, b, r0:r1, :r1] * w[r0:r1, :r1]
-                    P[:, 0] = F[a, b, r0:r1, 0] * first[r0:r1]
-                    out[r0:r1, a] += P @ g[:r1, b]
+        for a, b in np.ndindex(field.n, field.n):
+            rows, col0 = F[a, b, r0:r1, 1:r1], F[a, b, r0:r1, 0]
+            for (first, w), g in terms:
+                for c in np.ndindex(g.shape[2:]):
+                    col = g[(slice(r1), b) + c]
+                    dst = out[(slice(r0, r1), a) + c]  # a view: summed in place
+                    dst += np.einsum("rm,rm,m->r", rows, w[r0:r1, 1:r1], col[1:])
+                    dst += col0 * first[r0:r1] * col[0]
     if head is not None:
         out[1:] += np.einsum("abkm,kmb...->ka...", F[:, :, 1:K, :2], head[1:K])
     return out
@@ -504,6 +510,8 @@ def dual_residual(problem: CauchyProblem, field: FundamentalField, columns):
     the dual equation F(t_{j+k}, t_j) = Id/Gamma(alpha) + c_k sum_m T[k, m]
     F(t_{j+k}, t_{j+m}) A_{j+m} with _field_weights' T, c; NaN propagates."""
     _check_grid(problem, field.grid)
+    if not len(columns) or min(columns) < 0 or max(columns) > field.grid.N:
+        raise DomainError(f"need columns in 0..{field.grid.N}, got {list(columns)}")
     T, c, ga = _field_weights(field.grid, problem.alpha)
     Anodes, K = problem.A.at(field.grid.t), len(c)
     return np.max([np.abs(field.values[j:, j] - np.eye(problem.n) / ga

@@ -178,10 +178,10 @@ def test_direct_solve_builds_no_dense_table():
     assert sol.meta["residual"] < 1e-10
 
 
-def test_formulas_build_no_dense_table():
-    # the field-row sums read the left-moment table as its first column and
-    # Toeplitz view: no (N+1)^2 table is built (the dense one at N = 1024 is
-    # 8.4 MB; each call below peaked at 9.9-10.7 MB with it)
+@pytest.fixture(scope="module")
+def stored_field():
+    # a stored N = 1024 field, a start at t0 on it and a restart from a
+    # segment up to t_star = 307/1024
     alpha, N, k0 = 0.5, 1024, 307
     A = Coefficient.cosine(np.array([[0.0, 1.0], [-1.0, 0.0]]), 4.0)
     b = Forcing.constant([0.0, 1.0])
@@ -189,19 +189,46 @@ def test_formulas_build_no_dense_table():
     field = solve_F(p, TriangleGrid(0.0, 1.0, N))
     seg = GridFn(0.0, k0 / N, k0, solve_direct(p, N).x.values[:k0 + 1])
     r = CauchyProblem(alpha, 0.0, 1.0, A, b, History.from_samples(seg))
+    return p, r, field, N - k0
+
+
+def _formula_peaks(field, calls):
+    # tracemalloc peak of each call, with the hat tables it reads prebuilt
+    alpha, N = field.alpha, field.grid.N
     hat_moment_tables(N, -alpha, alpha - 1.0)
     first_interval_moments(N, -alpha, alpha - 1.0)
-    calls = [lambda: represent_pc(p, field), lambda: represent_gc(r, field),
-             lambda: represent_gc_compact(r, field),
-             lambda: gc_compact_identity_residual(r, field, [1, N - k0])]
+    peaks = []
     for call in calls:
         tracemalloc.start()
         try:
             call()
-            peak = tracemalloc.get_traced_memory()[1]
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert peak <= 4e6  # measured 1.5-2.3 MB
+    return peaks
+
+
+def test_formulas_build_no_dense_table(stored_field):
+    # the field-row sums read the left-moment table as its first column and
+    # Toeplitz view: no (N+1)^2 table is built (the dense one at N = 1024 is
+    # 8.4 MB; each call below peaked at 9.9-10.7 MB with it)
+    p, r, field, M = stored_field
+    peaks = _formula_peaks(field, [
+        lambda: represent_pc(p, field), lambda: represent_gc(r, field),
+        lambda: represent_gc_compact(r, field),
+        lambda: gc_compact_identity_residual(r, field, [1, M])])
+    assert max(peaks) <= 4e6  # measured 0.1-1.7 MB
+
+
+def test_field_row_sums_hold_no_block_products(stored_field):
+    # each term adds to a block of target rows in one fused pass: no block
+    # of field times weights is written (with one, 128 x up to 1025
+    # doubles, these calls peaked at 2.3 and 1.5 MB)
+    p, r, field, M = stored_field
+    peaks = _formula_peaks(field, [
+        lambda: represent_pc(p, field),
+        lambda: gc_compact_identity_residual(r, field, [1, M])])
+    assert max(peaks) <= 5e5  # measured 0.20 and 0.12 MB
 
 
 def test_singular_direct_step_is_named(tmp_path):
@@ -251,6 +278,21 @@ def test_solution_csv_and_sidecar(tmp_path):
                          "factor_s", "solves_s"}
     assert 0.0 <= side["residual_s"] <= side["wall_time"]
     assert 0.0 <= side["factor_s"] + side["solves_s"] <= side["wall_time"]
+
+
+def test_representation_sidecar_records_the_row_sum():
+    # every formula records rows_s, its seconds in the field-row sum, at a
+    # start at t0 and on a restart field from t_star
+    N = 32
+    at_t0 = _drifting_problem(2, 0.55, 0, N)
+    restart = _drifting_problem(2, 0.55, 9, N)
+    solves = [(formula, at_t0, TriangleGrid(0.2, 1.7, N))
+              for formula in (represent_pc, represent_gc, represent_gc_compact)]
+    solves += [(formula, restart, cauchy.restart_grid(restart, N))
+               for formula in (represent_gc, represent_gc_compact)]
+    for formula, problem, grid in solves:
+        side = formula(problem, solve_F(problem, grid)).sidecar()
+        assert 0.0 <= side["rows_s"] <= side["wall_time"]
 
 
 # ------------------------------------------------- continuation functionals
@@ -628,12 +670,13 @@ def test_field_row_sums_match_row_loops(N, n, alpha):
         problem = _drifting_problem(n, alpha, k0, N)
         start = rng.standard_normal(n)
         affine = _reference_affine_part(problem, field, k0, start)
-        assert _rel(_formula_rows(problem, field, k0, start), affine) <= 1e-14
+        assert _rel(_formula_rows(problem, field, k0, start)[0],
+                    affine) <= 1e-14
         g = _smooth(t[k0:], n)
         g1, g2 = _smooth(t[k0] + h * v1, n), _smooth(t[k0] + h * v2, n)
         memory = _reference_memory_term(field, k0, alpha, g, g1, g2)
-        got = _formula_rows(problem, field, k0, start, g,
-                            lambda ts: _smooth(ts, n))
+        got, _ = _formula_rows(problem, field, k0, start, g,
+                               lambda ts: _smooth(ts, n))
         assert _rel(got, affine + memory) <= 1e-14
         steps = list(range(1, N - k0 + 1))
         ref, scale = _reference_identity_residual(problem, field, k0, steps)
@@ -641,7 +684,7 @@ def test_field_row_sums_match_row_loops(N, n, alpha):
         assert np.abs(np.subtract(got, ref)).max() <= 1e-14 * scale
     # a single target row: the field's last node alone
     start = rng.standard_normal(n)
-    assert _rel(_formula_rows(base, field, N, start),
+    assert _rel(_formula_rows(base, field, N, start)[0],
                 _reference_affine_part(base, field, N, start)) <= 1e-14
 
 

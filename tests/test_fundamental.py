@@ -3,6 +3,7 @@
 import math
 import multiprocessing
 import os
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -28,7 +29,7 @@ from fracfund import (
 )
 from fracfund import gridfn
 from fracfund.fundamental import (FundamentalField, _factor, _field_weights,
-                                  _march, _substitute)
+                                  _march, _substitute, dual_residual)
 from fracfund.operators import op_constants
 from fracfund.oracle import constant_coeff_F
 from fracfund.quadrules import hat_moment_tables
@@ -132,6 +133,19 @@ def test_duality_cross_check():
     F = solve_F(p, g)
     G = solve_G_dual(p, g)
     assert np.nanmax(np.abs(F.values - G.values)) < 5e-3  # measured 1.2e-3
+
+
+def test_dual_residual_checks_its_columns():
+    # the dual march solves the dual equation, so its residual is rounding;
+    # column -1 would wrap to the last node's diagonal and read 0.0, so it is
+    # refused with the columns past N and an empty list
+    p = _ivp(Coefficient.cosine(np.array([[0.0, 1.0], [-1.0, 0.0]]), 4.0))
+    G = solve_G_dual(p, TriangleGrid(0.0, 1.0, 16))
+    assert dual_residual(p, G, [0, 8, 16]) < 1e-14
+    for columns in ([-1], [4, 17], []):
+        with pytest.raises(DomainError, match=re.escape(
+                f"need columns in 0..16, got {columns}")):
+            dual_residual(p, G, columns)
 
 
 def test_march_is_repeatable():
