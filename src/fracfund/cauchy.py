@@ -24,10 +24,9 @@ one from t_star, whose march and tables cost (N - k0)^3 and (N - k0)^2, not
 N^3 and N^2.  The solution comes back on the N grid with the segment's
 values up to t_star.  represent_pc, whose segment is t0, needs the full grid.
 
-The history functionals (the segment's memory integral, and psi in either
-form) are convolutions with O(N) profiles on targets of the segment's own
-lattice, and one closed-form weight per (target, node) entry elsewhere
-(_moment_sums, _smooth_panel_sums).
+The history functionals (the segment's memory integral, psi in either form)
+are quadrules.convolve on the segment's lattice, and one closed-form weight
+per (target, node) entry elsewhere (_moment_sums, _smooth_panel_sums).
 """
 
 from __future__ import annotations
@@ -44,10 +43,10 @@ from .fundamental import (FundamentalField, TriangleGrid, _check_grid,
 from .gridfn import GridFn
 from .operators import fractional_integral
 from .problem import CauchyProblem
-from .quadrules import (SINGULAR_NODES, SMOOTH_NODES, first_interval_moments,
-                        hat_moment_tables, jacobi_rule_01,
-                        lattice_hat_moments, left_moment_weights,
-                        left_moments_at)
+from .quadrules import (SINGULAR_NODES, SMOOTH_NODES, convolve,
+                        first_interval_moments, hat_moment_tables,
+                        jacobi_rule_01, lattice_hat_moments,
+                        left_moment_weights, left_moments_at)
 from .special import gamma
 
 METHOD_DIRECT = "direct"
@@ -79,6 +78,8 @@ class Solution:
 
 
 def _star_index(problem, N):
+    if N < 1:
+        raise DomainError("need N >= 1")
     h = (problem.theta - problem.t0) / N
     kf = (problem.t_star - problem.t0) / h
     k0 = int(round(kf))
@@ -146,12 +147,10 @@ def _moment_sums(p, seg: GridFn, ts, values):
     """Hat-moment integrals of (t - tau)^(p-1) against values over the
     segment's nodes, one row per target t >= seg.b (t > seg.b for p <= 0).
 
-    On the segment's lattice a weight depends only on the distance in steps,
-    so one profile of O(N) powers serves every entry.  The two end nodes take
-    one interval weight each; an interior node takes the far weight of the
-    interval behind it plus the near weight of the one in front, a function
-    of its distance alone, so the interior sums are one convolution per
-    component.  Elsewhere each (target, node) weight is its own closed form.
+    On the segment's lattice a weight depends only on the distance in steps:
+    the end nodes take one interval weight each, and an interior node the far
+    weight behind it plus the near weight in front, so the interior sums are
+    one convolve.  Elsewhere each (target, node) weight is its own closed form.
     """
     k = _lattice_start(seg, ts)
     if k is None or k % 1 or (k == 0 and p <= 0):
@@ -166,9 +165,7 @@ def _moment_sums(p, seg: GridFn, ts, values):
     far, near = lattice_hat_moments(p, seg.h, K + k + nt - 1, k)
     out = near[:nt, None] * values[-1] + far[K - 1:, None] * values[0]
     if K > 1:
-        inner = far[:-1] + near[1:]
-        for c in range(values.shape[1]):
-            out[:, c] += np.convolve(inner, values[1:K, c], "valid")
+        out += convolve(far[:-1] + near[1:], values[1:K])[K - 2:2 - K or None]
     return out
 
 
@@ -184,8 +181,8 @@ def _equation(problem, N):
     density and I fractional_integral from t_star.  Returns k0, the nodes,
     the step h from t_star on, then A and b on those nodes, and w0 + H."""
     alpha = problem.alpha
-    t = np.linspace(problem.t0, problem.theta, N + 1)
     k0 = _star_index(problem, N)
+    t = np.linspace(problem.t0, problem.theta, N + 1)
     phi = problem.history.caputo_samples(alpha)
     start = problem.w0 + _history_integrals(phi, alpha, t[k0 + 1:])
     return (k0, t, float(problem.theta - t[k0]) / (N - k0),
@@ -217,8 +214,6 @@ def solve_direct(problem: CauchyProblem, N: int) -> Solution:
     meta records the seconds of the factorisations (factor_s) and the
     substitutions (solves_s).
     """
-    if N < 1:
-        raise DomainError("need N >= 1")
     t_start = time.perf_counter()
     k0, t, h, Anodes, bnodes, start = _equation(problem, N)
     alpha, M = problem.alpha, N - k0
@@ -269,13 +264,12 @@ def _smooth_panel_sums(phi: GridFn, alpha, ts):
     """The smooth panels' part of _psi_defining at targets ts: panels
     i = 0..Nh-2 of a segment of Nh steps, SMOOTH_NODES Legendre nodes each.
 
-    On the segment's lattice, ts = t_star + (k + r) hh for r = 0..nt-1, the
-    node u_q of panel i lies m - u_q steps before target r, with
-    m = Nh + k + r - i, so each node q is one convolution of the kernel
-    1/((m - u_q) hh) with its column of weighted values.  k may be a half
-    step, and targets hh/2 apart are two such runs, the even ones and the odd
-    ones.  Elsewhere each (target, node) entry is summed on its own,
-    _PSI_CHUNK targets at a time.
+    On the segment's lattice, ts = t_star + (k + r) hh for r = 0..nt-1, node
+    u_q of panel i lies m - u_q steps before target r, m = Nh + k + r - i, so
+    the sum is one convolve of the kernels 1/((m - u_q) hh) with the weighted
+    values.  k may be a half step: targets hh/2 apart are two runs, even and
+    odd.  Elsewhere each entry is summed on its own, _PSI_CHUNK targets at a
+    time.
     """
     Nh, hh, n = phi.N, phi.h, phi.value_shape[0]
     out = np.zeros((len(ts), n))
@@ -298,12 +292,9 @@ def _smooth_panel_sums(phi: GridFn, alpha, ts):
         return out
     data = wts[..., None] * fvals
     for sl, k in runs:
-        run = out[sl]
-        m = k + 2 + np.arange(Nh + len(run) - 2, dtype=float)
-        kern = 1.0 / ((m - u[:, None]) * hh)
-        for q in range(SMOOTH_NODES):
-            for c in range(n):
-                run[:, c] += np.convolve(kern[q], data[:, q, c], "valid")
+        m = k + 2 + np.arange(Nh + len(out[sl]) - 2, dtype=float)
+        kern = 1.0 / ((m[:, None] - u) * hh)
+        out[sl] += convolve(kern, data)[Nh - 2:2 - Nh or None]
     return out
 
 

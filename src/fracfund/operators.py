@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import DomainError, GridMismatchError
 from .gridfn import GridFn
-from .quadrules import hat_moment_tables, jacobi_rule_01, left_moment_profile
+from .quadrules import (convolve, hat_moment_tables, jacobi_rule_01,
+                        left_moment_profile)
 from .special import gamma
 
 # geometric grading used near the singular end of the R-operator integrals
@@ -81,8 +82,8 @@ def fractional_integral(phi: GridFn, alpha: float, side: str = "left") -> GridFn
 
     side="left" anchors at a (value 0 there), side="right" anchors at b.
     Moments of the singular factor are closed-form, so the result is exact
-    for affine phi up to rounding: one convolution per component of the
-    O(N) left-moment profile, with no dense table.
+    for affine phi up to rounding: one convolve with the O(N) left-moment
+    profile, with no dense table.
     """
     alpha = _check_alpha(alpha)
     if side not in ("left", "right"):
@@ -94,9 +95,7 @@ def fractional_integral(phi: GridFn, alpha: float, side: str = "left") -> GridFn
     N, flat = phi.N, _flat(phi.values)
     far, profile = left_moment_profile(alpha, phi.h, N)
     out = np.zeros_like(flat)
-    out[1:] = far[:, None] * flat[0]
-    for c in range(flat.shape[1]):
-        out[1:, c] += np.convolve(profile, flat[1:, c])[:N]
+    out[1:] = far[:, None] * flat[0] + convolve(profile, flat[1:])[:N]
     return GridFn(phi.a, phi.b, N, (out / gamma(alpha)).reshape(phi.values.shape))
 
 
@@ -112,15 +111,10 @@ def caputo_derivative(x: GridFn, alpha: float) -> GridFn:
     N, h = x.N, x.h
     flat = _flat(x.values)
     dx = flat[1:] - flat[:-1]
-    seq = np.arange(N + 1, dtype=float) ** (1.0 - alpha)
-    g = seq[1:] - seq[:-1]
+    g = np.diff(np.arange(N + 1, dtype=float) ** (1.0 - alpha))
     scale = h ** (-alpha) / gamma(2.0 - alpha)
-    # out[k] = scale * sum_{i<k} g[k-1-i] dx[i]: a lower Toeplitz product,
-    # the first N terms of one full convolution per component
-    out = np.empty_like(flat)
-    for c in range(flat.shape[1]):
-        out[1:, c] = scale * np.convolve(g, dx[:, c])[:N]
-    out[0] = out[1]
+    # out[k] = scale * sum_{i<k} g[k-1-i] dx[i], and node 0 repeats node 1
+    out = scale * convolve(g, dx)[np.r_[0, :N]]
     return GridFn(x.a, x.b, N, out.reshape(x.values.shape))
 
 

@@ -7,8 +7,9 @@ u^eL (1-u)^eR of the normalized marches by fixed Gauss-Jacobi rules, which
 the Golub-Welsch eigenvalue method computes with numpy alone.  Every table
 is lower triangular, and its row k, the weights of nodes 0..k for target
 k, does not depend on N: one table at the grid's N serves the grid.  The
-left-moment table is a first column and a Toeplitz view of O(N) numbers;
-the hat-moment tables are read-only dense arrays.
+left-moment table is a first column and a Toeplitz view of O(N) numbers,
+whose products outside the march are one FFT convolve; the hat-moment tables
+are read-only dense arrays.
 """
 
 from functools import lru_cache
@@ -52,6 +53,20 @@ def jacobi_rule_01(n: int, p: float, q: float):
     u.flags.writeable = False
     w.flags.writeable = False
     return u, w
+
+
+def convolve(kernel, values):
+    """out[i, c...] = sum_k sum_j kernel[i - j, k...] values[j, k..., c...],
+    i < m = len(kernel) + len(values) - 1: full convolutions along axis 0,
+    summed over the kernel's other axes in frequency space, by FFTs padded to
+    a power of two.  Rounding is about eps log m |kernel|_2 |values|_2, not
+    per entry, and a non-finite input spreads to every output."""
+    m = len(kernel) + len(values) - 1
+    size = 1 << (m - 1).bit_length()
+    kf = np.fft.rfft(np.reshape(kernel, (len(kernel), -1)), size, axis=0)
+    vf = np.fft.rfft(np.reshape(values, (len(values), kf.shape[1], -1)), size, axis=0)
+    out = np.fft.irfft(np.einsum("fk,fkc->fc", kf, vf), size, axis=0)[:m]
+    return out.reshape((m,) + np.shape(values)[np.ndim(kernel):])
 
 
 def _lower_toeplitz(c):
@@ -184,7 +199,7 @@ def left_moment_weights(alpha: float, N: int, h: float):
 def left_moment_profile(alpha: float, h: float, N: int):
     """The O(N) numbers behind left_moment_weights: W[k, 0] = far[k - 1] and
     W[k, j] = profile[k - j] for 1 <= j <= k <= N, so W[1:] @ v is far v[0]
-    plus the convolution of profile with v[1:] (fractional_integral)."""
+    plus convolve(profile, v[1:])[:N] (fractional_integral)."""
     # the interval at distance d before t_k gives far[d-1] to its far node
     # and near[d-1] to its near node
     far, near = lattice_hat_moments(alpha, h, N)

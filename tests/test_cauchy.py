@@ -21,6 +21,7 @@ from fracfund import (
     TriangleGrid,
     b_star,
     equation_residual,
+    fractional_integral,
     gamma,
     gc_compact_identity_residual,
     ml_scalar,
@@ -31,7 +32,7 @@ from fracfund import (
     solve_F,
     solve_direct,
 )
-from fracfund import cauchy, gridfn
+from fracfund import cauchy, checks, gridfn
 from fracfund.cauchy import (METHOD_DIRECT, _formula_rows, _psi_defining,
                              _psi_from_history)
 from fracfund.cli import main
@@ -114,6 +115,15 @@ def test_direct_rejects():
     off = CauchyProblem(0.5, 0.0, 1.0, p.A, p.b, History.from_samples(seg))
     with pytest.raises(GridMismatchError):
         solve_direct(off, 7)  # t_star = 0.3 missing from the 1/7 grid
+
+
+@pytest.mark.parametrize("N", [0, -4])
+def test_grids_without_a_step_are_refused(N):
+    # the three public entries that place t_star on the N grid
+    p = _cosine_problem()
+    for call in (solve_direct, cauchy.restart_grid, cauchy.check_pc):
+        with pytest.raises(DomainError, match="need N >= 1"):
+            call(p, N)
 
 
 def _reference_direct(problem, N):
@@ -383,6 +393,50 @@ def test_half_step_psi_matches_per_entry(n, alpha, monkeypatch):
     monkeypatch.setattr(cauchy, "_lattice_start", lambda seg, ts: None)
     want = _psi_defining(seg, alpha, ts)
     assert np.abs(lattice - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9])
+def test_lattice_history_sums_round_as_an_fft(alpha, monkeypatch):
+    # the lattice sums are FFT convolutions, whose rounding scales with the
+    # 2-norms of kernel and data rather than entry by entry.  The history
+    # integrals and psi's defining form stay at 1e-14 of the per-entry sums;
+    # psi's proper-integral form weighs the data by (t - xi)^(-1-alpha),
+    # whose first taps dominate that norm, and its error grows as eps N^alpha:
+    # measured 1.3e-15, 1.3e-14 and 8.5e-14 at alpha = 0.3, 0.6 and 0.9,
+    # bound five times the last
+    N, k0, n = 2048, 614, 2
+    t = np.linspace(0.0, 1.0, N + 1)
+    vals = (np.cos(np.outer(t[:k0 + 1], np.arange(1.0, n + 1.0)))
+            + t[:k0 + 1, None] ** alpha)
+    seg, ts = GridFn(0.0, t[k0], k0, vals), t[k0:]
+    lattice = _history_functionals(seg, alpha, ts)
+    monkeypatch.setattr(cauchy, "_lattice_start", lambda seg, ts: None)
+    want = _history_functionals(seg, alpha, ts)
+    for got, ref, tol in zip(lattice, want, (1e-14, 4.3e-13, 1e-14)):
+        assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
+
+
+def test_history_sums_call_no_numpy_convolve(stored_field, monkeypatch):
+    # every Toeplitz sum outside the march is quadrules.convolve: the direct
+    # solve of a restart whose history has no Caputo samples (the L1
+    # derivative, the history integrals, the forcing and the residual), both
+    # general formulas on the lattice (psi in both forms), the doubled-grid
+    # psi of verify's history checks, and a matrix-valued fractional integral
+    p, r, field, M = stored_field
+    assert r.history.caputo_w is None
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.convolve called")
+
+    monkeypatch.setattr(np, "convolve", refuse)
+    N = field.grid.N
+    assert solve_direct(r, N).meta["residual"] < 1e-10
+    for formula in (represent_gc, represent_gc_compact):
+        assert np.isfinite(formula(r, field).x.values).all()
+    assert all(rec["pass"] for rec in checks.history_functional_checks(r, N))
+    phi = GridFn(0.0, 1.0, 64, np.random.default_rng(0).random((65, 2, 2)))
+    assert fractional_integral(phi, 0.5).values.shape == (65, 2, 2)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
