@@ -15,7 +15,7 @@ row sum fundamental._field_rows: every weighted term, the left-moment table's
 as its O(N) first column and Toeplitz view, is summed against the field
 rows, one fused einsum per block of target rows and term, and the exact first
 subinterval enters as a per-target head on the nodes at t_star and one step
-later.  Each formula records the seconds of that pass as rows_s in its meta.
+later.  A formula's meta times that pass (rows_s) and its lookups (tables_s).
 
 The formulas read F(t, s) for t_star <= s <= t only, where F depends on A
 only on [s, t].  So they take the problem's field on its N grid, or on any
@@ -356,8 +356,8 @@ def _formula_rows(problem, field, k0, start_vec, g_nodes=None, g_at=None):
     in one pass over the field rows, with the left-moment weights up to M:
     start_vec + memory integral of F (A start_vec + b), plus, when g_nodes
     is given, the memory term integral of F(t,.) g(.) (t-.)^(alpha-1)
-    (.-t_star)^(-alpha).  Returns the values and the seconds of the row sum
-    (rows_s), which every formula records in its meta.
+    (.-t_star)^(-alpha).  Returns the values and the seconds of the weight
+    lookups and the row sum (tables_s, rows_s) for every formula's meta.
 
     g is piecewise linear on the grid except on the first subinterval, where
     exact point values g_at(ts) at two fixed Jacobi families replace it
@@ -371,27 +371,29 @@ def _formula_rows(problem, field, k0, start_vec, g_nodes=None, g_at=None):
     grid = field.grid
     alpha, N, M = problem.alpha, grid.N, grid.N - k0
     t = grid.t[k0:]
-    terms = [(left_moment_weights(alpha, M, grid.h),
-              problem.A.at(t) @ start_vec + problem.b.at(t))]
-    head = None
+    t_tables = time.perf_counter()
+    W = left_moment_weights(alpha, M, grid.h)
     if g_nodes is not None:
         v1, w1 = jacobi_rule_01(SINGULAR_NODES, -alpha, alpha - 1.0)
         v2, w2 = jacobi_rule_01(SINGULAR_NODES, -alpha, 0.0)
+        sig0, sig1 = first_interval_moments(N, -alpha, alpha - 1.0)
+        H = hat_moment_tables(N, -alpha, alpha - 1.0)
+    tables_s = time.perf_counter() - t_tables
+    terms = [(W, problem.A.at(t) @ start_vec + problem.b.at(t))]
+    head = None
+    if g_nodes is not None:
         v = np.concatenate([v1, v2])
         wq = np.zeros((M + 1, v.size))
         wq[1, :v1.size] = w1
-        k = np.arange(2, M + 1)[:, None]
-        wq[2:, v1.size:] = w2 * (k - v2) ** (alpha - 1.0)
+        wq[2:, v1.size:] = w2 * (np.arange(2, M + 1)[:, None] - v2) ** (alpha - 1.0)
         g_first = g_at(problem.t_star + grid.h * v)
-        sig0, sig1 = first_interval_moments(N, -alpha, alpha - 1.0)
         head = np.stack(
             [(wq * (1.0 - v)) @ g_first - sig0[:M + 1, None] * g_nodes[0],
              (wq * v) @ g_first - sig1[:M + 1, None] * g_nodes[1]], axis=1)
-        H = hat_moment_tables(N, -alpha, alpha - 1.0)
         terms.append(((H[:, 0], H), g_nodes))
     t_rows = time.perf_counter()
-    rows = _field_rows(field, k0, terms, head)
-    return start_vec + rows, time.perf_counter() - t_rows
+    rows = start_vec + _field_rows(field, k0, terms, head)
+    return rows, {"tables_s": tables_s, "rows_s": time.perf_counter() - t_rows}
 
 
 def _assemble(problem, xv, method, t_start, **phases):
@@ -406,8 +408,8 @@ def _assemble(problem, xv, method, t_start, **phases):
 
 def _formula_at_t0(problem, field, method, t_start):
     """Either formula when the start segment collapses to t0: no memory."""
-    xv, rows_s = _formula_rows(problem, field, 0, problem.w0)
-    return _assemble(problem, xv, method, t_start, rows_s=rows_s)
+    xv, phases = _formula_rows(problem, field, 0, problem.w0)
+    return _assemble(problem, xv, method, t_start, **phases)
 
 
 def check_pc(problem, N):
@@ -436,12 +438,12 @@ def _general_formula(problem, field, k0, N, psi_nodes, anchor, start_vec,
     w_seg = problem.history.w_star
     k_star = N - field.grid.N + k0
     xv = np.empty((N + 1, problem.n))
-    xv[k_star:], rows_s = _formula_rows(
+    xv[k_star:], phases = _formula_rows(
         problem, field, k0, start_vec, psi_nodes - anchor,
         lambda ts: _psi_from_history(w_seg, problem.alpha, ts) - anchor)
     xv[:k_star + 1] = _prefix_values(
         problem, np.linspace(problem.t0, problem.theta, N + 1), k_star)
-    return _assemble(problem, xv, method, t_start, rows_s=rows_s)
+    return _assemble(problem, xv, method, t_start, **phases)
 
 
 def represent_gc(problem: CauchyProblem, field: FundamentalField) -> Solution:

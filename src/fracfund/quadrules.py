@@ -9,20 +9,20 @@ is lower triangular, and its row k, the weights of nodes 0..k for target
 k, does not depend on N: one table at the grid's N serves the grid.  The
 left-moment table is a first column and a Toeplitz view of O(N) numbers,
 whose products outside the march are one FFT convolve; the hat-moment tables
-are read-only dense arrays.
+are read-only dense arrays, built in tiles of GEMMs that do not depend on N.
 """
 
 from functools import lru_cache
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 SINGULAR_NODES = 32
 SMOOTH_NODES = 16
-# hat_moment_tables sums its interior panels for this many rows at a time,
-# so the partial sums stay in cache
-_TABLE_ROWS = 64
+# the side of hat_moment_tables' tiles: rows k0..k0+127 (k0 = 1, 129, ...)
+# by columns m0..m0+127 (m0 = 0, 128, ...), full size at every N
+_TABLE_ROWS = 128
 
 
 @lru_cache(maxsize=64)
@@ -111,11 +111,11 @@ def hat_moment_tables(N: int, eL: float, eR: float):
     the uniform u-nodes m/k; the approximation error is the Gauss error of
     analytic non-weight factors and sits far below the schemes' own
     discretization error.  Row 0 and every entry above the diagonal are zero.
-    Row k depends only on k and the exponents, so T[:M + 1, :M + 1] is the
-    table for M <= N and one table at the grid's N serves every caller on
-    the grid.  The result is read-only and cached for two exponent pairs:
-    a grid uses (alpha-1, alpha-1) for the march and J, and
-    (-alpha, alpha-1) for the representation formulas.
+    Interior panels come in full-size tiles of GEMMs, so row k depends only
+    on k and the exponents: T[:M + 1, :M + 1] is the table for M <= N, and
+    one table at the grid's N serves every caller on the grid.  The result
+    is read-only and cached for two exponent pairs: a grid uses (alpha-1,
+    alpha-1) for the march and J, and (-alpha, alpha-1) for the formulas.
     """
     T = np.zeros((N + 1, N + 1))
     # the first subinterval [0, 1/k]; for k >= 2 the last one is the first one
@@ -126,29 +126,27 @@ def hat_moment_tables(N: int, eL: float, eR: float):
     T[k, k - 1] += last_km1[2:]
     T[k, k] += last_k[2:]
     # interior panel m of row k, [m/k, (m+1)/k] for 1 <= m <= k-2: with
-    # d = k-1-m its integrand is k^(-eL-eR) (m+s)^eL (d+1-s)^eR, so two power
-    # tables P[i, m] and Q[i, d] over the Legendre nodes s_i give every panel;
-    # P[:, 0] and Q[:, 0] are the end panels, zeroed here because the Jacobi
-    # rules above carry them
+    # d = k-1-m its integrand is k^(-eL-eR) (m+s)^eL (d+1-s)^eR, so node m
+    # gets k^(-1-eL-eR) (Q[d] lo[m] + Q[d+1] hi[m]) from panels m and m-1
+    # over the Legendre nodes s: Q[d] = (d+1-s)^eR, zero at d <= 0, lo[m] =
+    # w (1-s) P[m], hi[m] = w s P[m-1], P[m] = (m+s)^eL, zero at m = 0 (the
+    # Jacobi rules above carry the end panels).  A B x B tile is two rank-16
+    # GEMMs over 2B-1 values of d, read along its anti-diagonals
+    B = _TABLE_ROWS
+    L = -(-N // B) * B
     s, ws = jacobi_rule_01(SMOOTH_NODES, 0.0, 0.0)
-    j = np.arange(N + 1, dtype=float)
-    P = (j + s[:, None]) ** eL
-    Q = (j + 1.0 - s[:, None]) ** eR
-    P[:, 0] = Q[:, 0] = 0.0
-    P_lo = (ws * (1.0 - s))[:, None] * P  # panel m's weight on node m
-    P_hi = (ws * s)[:, None] * P  # and on node m+1
-    Qd = [_lower_toeplitz(q) for q in Q]  # Qd[i][k-1, m] = Q[i, k-1-m]
-    for k0 in range(1, N + 1, _TABLE_ROWS):
-        k1 = min(k0 + _TABLE_ROWS, N + 1)
-        lo = np.zeros((k1 - k0, k1 - 1))
-        hi = np.zeros((k1 - k0, k1 - 1))
-        for i in range(SMOOTH_NODES):
-            q = Qd[i][k0 - 1:k1 - 1, :k1 - 1]
-            lo += q * P_lo[i, :k1 - 1]
-            hi += q * P_hi[i, :k1 - 1]
-        c = np.arange(k0, k1, dtype=float)[:, None] ** (-1.0 - eL - eR)
-        T[k0:k1, :k1 - 1] += c * lo
-        T[k0:k1, 1:k1] += c * hi
+    P = np.concatenate([np.zeros((1, s.size)), (np.arange(1, L)[:, None] + s) ** eL])
+    lo, hi = ws * (1.0 - s) * P, np.concatenate([P[:1], ws * s * P[:-1]])
+    Q = np.zeros((L + B, s.size))  # Q[B - 1 + d] = Q[d] above
+    Q[B:] = (np.arange(2.0, L + 2.0)[:, None] - s) ** eR
+    c = np.arange(1.0, L + 1.0) ** (-1.0 - eL - eR)
+    for k0 in range(1, N + 1, B):  # k0 = 1 + tile * B, so c starts at k = 1
+        for m0 in range(0, k0, B):  # T[k0 + i, m0 + m] reads G[B - 1 + i - m, m]
+            G = Q[k0 - m0 - 1:k0 - m0 + 2 * B - 2] @ lo[m0:m0 + B].T
+            G += Q[k0 - m0:k0 - m0 + 2 * B - 1] @ hi[m0:m0 + B].T
+            V = as_strided(G[B - 1:], (B, B), (G.strides[0], G.strides[1] - G.strides[0]))
+            tile = T[k0:k0 + B, m0:m0 + B]  # cut at row and column N
+            tile += (c[k0 - 1:k0 - 1 + B, None] * V)[:len(tile), :tile.shape[1]]
     T.flags.writeable = False
     return T
 

@@ -291,8 +291,10 @@ def test_solution_csv_and_sidecar(tmp_path):
 
 
 def test_representation_sidecar_records_the_row_sum():
-    # every formula records rows_s, its seconds in the field-row sum, at a
-    # start at t0 and on a restart field from t_star
+    # every formula records rows_s, its seconds in the field-row sum, and
+    # tables_s, its seconds in the weight lookups (the general formulas'
+    # hat-moment table among them), at a start at t0 and on a restart field
+    # from t_star
     N = 32
     at_t0 = _drifting_problem(2, 0.55, 0, N)
     restart = _drifting_problem(2, 0.55, 9, N)
@@ -303,6 +305,7 @@ def test_representation_sidecar_records_the_row_sum():
     for formula, problem, grid in solves:
         side = formula(problem, solve_F(problem, grid)).sidecar()
         assert 0.0 <= side["rows_s"] <= side["wall_time"]
+        assert 0.0 <= side["tables_s"] <= side["wall_time"] - side["rows_s"]
 
 
 # ------------------------------------------------- continuation functionals

@@ -434,7 +434,7 @@ def test_hat_tables_partition_of_unity():
         assert tables[k].sum() == pytest.approx(want, rel=1e-10)
 
 
-@pytest.mark.parametrize("N, M", [(40, 17), (64, 63)])
+@pytest.mark.parametrize("N, M", [(40, 17), (64, 63), (300, 129), (1280, 700)])
 @pytest.mark.parametrize("alpha, eL, eR", [(0.35, -0.35, -0.65),
                                            (0.6, -0.4, -0.4)])
 def test_table_rows_do_not_depend_on_table_size(N, M, alpha, eL, eR):
@@ -449,7 +449,8 @@ def test_table_rows_do_not_depend_on_table_size(N, M, alpha, eL, eR):
                           _dense_left_weights(alpha, M, h))
 
 
-# the row-by-row builders the dense tables replaced, kept as references
+# the row-by-row builders the dense tables replaced, and the dense builder
+# the tiled GEMMs replaced, kept as references
 
 
 def _reference_first_subinterval(k, eL, eR):
@@ -479,6 +480,34 @@ def _reference_hat_row(k, eL, eR):
         omega[1:k - 1] += np.sum(f * (1.0 - s[None, :]), axis=1)
         omega[2:k] += np.sum(f * s[None, :], axis=1)
     return omega
+
+
+def _reference_dense_table(N, eL, eR):
+    # 64 rows at a time, one elementwise multiply-add per Legendre node and half
+    T = np.zeros((N + 1, N + 1))
+    T[:, 0], T[:, 1] = first_interval_moments(N, eL, eR)
+    last_k, last_km1 = first_interval_moments(N, eR, eL)
+    k = np.arange(2, N + 1)
+    T[k, k - 1] += last_km1[2:]
+    T[k, k] += last_k[2:]
+    s, ws = jacobi_rule_01(16, 0.0, 0.0)
+    j = np.arange(N + 1, dtype=float)
+    P = (j + s[:, None]) ** eL
+    Q = (j + 1.0 - s[:, None]) ** eR
+    P[:, 0] = Q[:, 0] = 0.0
+    for k0 in range(1, N + 1, 64):
+        k1 = min(k0 + 64, N + 1)
+        d = np.arange(k0 - 1, k1 - 1)[:, None] - np.arange(k1 - 1)
+        lo = np.zeros((k1 - k0, k1 - 1))
+        hi = np.zeros((k1 - k0, k1 - 1))
+        for i in range(16):
+            q = np.where(d >= 0, Q[i, np.maximum(d, 0)], 0.0)
+            lo += q * (ws[i] * (1.0 - s[i]) * P[i, :k1 - 1])
+            hi += q * (ws[i] * s[i] * P[i, :k1 - 1])
+        c = np.arange(k0, k1, dtype=float)[:, None] ** (-1.0 - eL - eR)
+        T[k0:k1, :k1 - 1] += c * lo
+        T[k0:k1, 1:k1] += c * hi
+    return T
 
 
 def _reference_left_weights(alpha, N, h):
@@ -523,15 +552,20 @@ def _reference_tail(alpha, nodes, t):
     return w
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 64, 300])
-@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("N", [1, 2, 3, 64, 129, 257, 300])
+@pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 0.75, 0.9])
 def test_weight_tables_match_row_builders(N, alpha):
+    # N = 129 and 257 put one row past a full tile of the table's GEMMs
     for eL, eR in ((alpha - 1.0, alpha - 1.0), (-alpha, alpha - 1.0)):
         T = hat_moment_tables(N, eL, eR)
         sig0, sig1 = first_interval_moments(N, eL, eR)
-        assert T.shape == (N + 1, N + 1)
+        assert T.shape == (N + 1, N + 1) and not T.flags.writeable
+        assert hat_moment_tables(N, eL, eR) is T
         assert np.all(np.triu(T, 1) == 0.0) and np.all(T[0] == 0.0)
         assert np.array_equal(T[:, 0], sig0)
+        dense = _reference_dense_table(N, eL, eR)
+        lower = np.tril(np.ones_like(T, dtype=bool))
+        np.testing.assert_allclose(T[lower], dense[lower], rtol=1e-15, atol=0.0)
         for k in range(1, N + 1):
             np.testing.assert_allclose(T[k, :k + 1], _reference_hat_row(k, eL, eR),
                                        rtol=1e-14, atol=0.0)
