@@ -563,9 +563,8 @@ def test_weight_tables_match_row_builders(N, alpha):
         assert hat_moment_tables(N, eL, eR) is T
         assert np.all(np.triu(T, 1) == 0.0) and np.all(T[0] == 0.0)
         assert np.array_equal(T[:, 0], sig0)
-        dense = _reference_dense_table(N, eL, eR)
-        lower = np.tril(np.ones_like(T, dtype=bool))
-        np.testing.assert_allclose(T[lower], dense[lower], rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(T, _reference_dense_table(N, eL, eR),
+                                   rtol=1e-15, atol=0.0)
         for k in range(1, N + 1):
             np.testing.assert_allclose(T[k, :k + 1], _reference_hat_row(k, eL, eR),
                                        rtol=1e-14, atol=0.0)
