@@ -8,14 +8,16 @@ checks every route read one assembly of that equation, _equation.
 The history enters the formulas through the continuation functional psi and
 the modified forcing b_star; psi's difference against its value at t_star is
 alpha-Hoelder at t_star, so the first subinterval of every memory integral is
-integrated with exact point values at fixed Jacobi nodes instead of the
-piecewise-linear shortcut, which would lose the cusp.  Each formula, and the
-identity check that links the two general ones, is one pass of the field's
-row sum fundamental._field_rows: every weighted term, the left-moment table's
-as its O(N) first column and Toeplitz view, is summed against the field
-rows, one fused einsum per block of target rows and term, and the exact first
-subinterval enters as a per-target head on the nodes at t_star and one step
-later.  A formula's meta times that pass (rows_s) and its lookups (tables_s).
+integrated with exact point values at the nodes of
+quadrules.first_interval_rule, whose hat moments are the table's first panel,
+instead of the piecewise-linear shortcut, which would lose the cusp.  Each
+formula, and the identity check that links the two general ones, is one pass
+of the field's row sum fundamental._field_rows: every weighted term, the
+left-moment table's as its O(N) first column and Toeplitz view, is summed
+against the field rows, one fused einsum per block of target rows and term,
+and the exact first subinterval enters as a per-target head on the nodes at
+t_star and one step later.  A formula's meta times that pass (rows_s) and its
+lookups (tables_s).
 
 The formulas read F(t, s) for t_star <= s <= t only, where F depends on A
 only on [s, t].  So they take the problem's field on its N grid, or on any
@@ -44,7 +46,7 @@ from .gridfn import GridFn
 from .operators import fractional_integral
 from .problem import CauchyProblem
 from .quadrules import (SINGULAR_NODES, SMOOTH_NODES, convolve,
-                        first_interval_moments, hat_moment_tables,
+                        first_interval_rule, hat_moment_tables,
                         jacobi_rule_01, lattice_hat_moments,
                         left_moment_weights, left_moments_at)
 from .special import gamma
@@ -360,13 +362,12 @@ def _formula_rows(problem, field, k0, start_vec, g_nodes=None, g_at=None):
     lookups and the row sum (tables_s, rows_s) for every formula's meta.
 
     g is piecewise linear on the grid except on the first subinterval, where
-    exact point values g_at(ts) at two fixed Jacobi families replace it
-    (family 1 when the target is one step away and the second kernel factor
-    is singular too, family 2 otherwise).  F itself stays piecewise linear
-    throughout.  The table's own first panel is subtracted through
-    first_interval_moments, which holds the very values of its columns 0
-    and 1, and the Jacobi sums take its place: the head is the first
-    subinterval's weight on the field at t_star and one step later.
+    exact point values g_at(ts) at the nodes of quadrules.first_interval_rule
+    replace it; F itself stays piecewise linear throughout.  The rule's hat
+    moments are the table's columns 0 and 1, so the head, the first
+    subinterval's weight on the field at t_star and one step later, is the
+    rule's sum of g - g_0 and of g - g_1: it swaps the table's linear g on
+    that panel for the exact values, with no moment subtracted.
     """
     grid = field.grid
     alpha, N, M = problem.alpha, grid.N, grid.N - k0
@@ -374,22 +375,15 @@ def _formula_rows(problem, field, k0, start_vec, g_nodes=None, g_at=None):
     t_tables = time.perf_counter()
     W = left_moment_weights(alpha, M, grid.h)
     if g_nodes is not None:
-        v1, w1 = jacobi_rule_01(SINGULAR_NODES, -alpha, alpha - 1.0)
-        v2, w2 = jacobi_rule_01(SINGULAR_NODES, -alpha, 0.0)
-        sig0, sig1 = first_interval_moments(N, -alpha, alpha - 1.0)
+        v, wq = first_interval_rule(M, -alpha, alpha - 1.0)
         H = hat_moment_tables(N, -alpha, alpha - 1.0)
     tables_s = time.perf_counter() - t_tables
     terms = [(W, problem.A.at(t) @ start_vec + problem.b.at(t))]
     head = None
     if g_nodes is not None:
-        v = np.concatenate([v1, v2])
-        wq = np.zeros((M + 1, v.size))
-        wq[1, :v1.size] = w1
-        wq[2:, v1.size:] = w2 * (np.arange(2, M + 1)[:, None] - v2) ** (alpha - 1.0)
         g_first = g_at(problem.t_star + grid.h * v)
-        head = np.stack(
-            [(wq * (1.0 - v)) @ g_first - sig0[:M + 1, None] * g_nodes[0],
-             (wq * v) @ g_first - sig1[:M + 1, None] * g_nodes[1]], axis=1)
+        head = np.stack([(wq * (1.0 - v)) @ (g_first - g_nodes[0]),
+                         (wq * v) @ (g_first - g_nodes[1])], axis=1)
         terms.append(((H[:, 0], H), g_nodes))
     t_rows = time.perf_counter()
     rows = start_vec + _field_rows(field, k0, terms, head)

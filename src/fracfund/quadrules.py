@@ -4,12 +4,14 @@ Everything here is deterministic: node counts are fixed constants, never
 adaptive, so repeated runs produce identical bits.  The weights are hat
 function moments: of (t - tau)^(p-1) in one closed form, and of the
 u^eL (1-u)^eR of the normalized marches by fixed Gauss-Jacobi rules, which
-the Golub-Welsch eigenvalue method computes with numpy alone.  Every table
-is lower triangular, and its row k, the weights of nodes 0..k for target
-k, does not depend on N: one table at the grid's N serves the grid.  The
-left-moment table is a first column and a Toeplitz view of O(N) numbers,
-whose products outside the march are one FFT convolve; the hat-moment tables
-are read-only dense arrays, built in tiles of GEMMs that do not depend on N.
+the Golub-Welsch eigenvalue method computes with numpy alone; the first
+u-subinterval's rule, first_interval_rule, is the hat tables' first panel
+and the formulas' exact head.  Every table is lower triangular, and its row
+k, the weights of nodes 0..k for target k, does not depend on N: one table
+at the grid's N serves the grid.  The left-moment table is a first column
+and a Toeplitz view of O(N) numbers, whose products outside the march are
+one FFT convolve; the hat-moment tables are read-only dense arrays, built in
+tiles of GEMMs that do not depend on N.
 """
 
 from functools import lru_cache
@@ -75,32 +77,33 @@ def _lower_toeplitz(c):
     return sliding_window_view(padded, c.size)[::-1]
 
 
+def first_interval_rule(N: int, eL: float, eR: float):
+    """Quadrature of the first u-subinterval [0, 1/k] of u^eL (1-u)^eR for
+    k = 0..N: nodes v, those of the Jacobi rules (eL, eR) and (eL, 0), and
+    weights W with  int_0^(1/k) u^eL (1-u)^eR f(k u) du ~ sum_q W[k, q] f(v_q).
+    Row 1 is the first rule, row k >= 2 the second times (1 - v/k)^eR
+    k^(-1-eL), row 0 zero; row k does not depend on N.  The one source of
+    the hat tables' first panel and of the formulas' exact head.
+    """
+    v1, w1 = jacobi_rule_01(SINGULAR_NODES, eL, eR)
+    v2, w2 = jacobi_rule_01(SINGULAR_NODES, eL, 0.0)
+    W = np.zeros((N + 1, v1.size + v2.size))
+    W[1, :v1.size] = w1
+    k = np.arange(2, N + 1, dtype=float)[:, None]
+    W[2:, v1.size:] = w2 * (1.0 - v2 / k) ** eR * k ** (-1.0 - eL)
+    return np.concatenate([v1, v2]), W
+
+
 @lru_cache(maxsize=4)
 def first_interval_moments(N: int, eL: float, eR: float):
-    """Hat moments restricted to the first u-subinterval [0, 1/k], per k.
-
-    Returns arrays (sig0, sig1) of length N+1 (index k) with the weight that
-    subinterval 0 contributes to nodes 0 and 1.  Used when a caller replaces
-    the piecewise-linear representation on the first subinterval by direct
-    quadrature and must subtract the table's own contribution there: they
-    are the very values hat_moment_tables puts into its columns 0 and 1.
-    Cached and read-only like hat_moment_tables; entry k does not depend on N.
-    """
-    sig0 = np.zeros(N + 1)
-    sig1 = np.zeros(N + 1)
-    # k = 1: one subinterval touching both endpoints
-    v, base = jacobi_rule_01(SINGULAR_NODES, eL, eR)
-    sig0[1], sig1[1] = np.sum(base * (1.0 - v)), np.sum(base * v)
-    # k >= 2: left weight in the rule, rest evaluated
-    v, wv = jacobi_rule_01(SINGULAR_NODES, eL, 0.0)
-    k = np.arange(2, N + 1, dtype=float)[:, None]
-    base = wv * (1.0 - v / k) ** eR * k ** (-1.0 - eL)
-    sig0[2:], sig1[2:] = np.sum(base * (1.0 - v), axis=1), np.sum(base * v, axis=1)
+    """The hat moments of first_interval_rule, (sig0, sig1) of length N+1:
+    the weights that subinterval 0 gives nodes 0 and 1: hat_moment_tables'
+    columns 0 and 1, and, called with (eR, eL), its last two diagonals.
+    Cached and read-only; entry k does not depend on N."""
+    v, W = first_interval_rule(N, eL, eR)
+    sig0, sig1 = np.sum(W * (1.0 - v), axis=1), np.sum(W * v, axis=1)
     sig0.flags.writeable = sig1.flags.writeable = False
     return sig0, sig1
-
-
-_first_panel = first_interval_moments.__wrapped__
 
 
 @lru_cache(maxsize=2)
@@ -119,9 +122,9 @@ def hat_moment_tables(N: int, eL: float, eR: float):
     """
     T = np.zeros((N + 1, N + 1))
     # the first subinterval [0, 1/k]; for k >= 2 the last one is the first one
-    # of the mirrored kernel u^eR (1-u)^eL (uncached: no cache entry for it)
-    T[:, 0], T[:, 1] = _first_panel(N, eL, eR)
-    last_k, last_km1 = _first_panel(N, eR, eL)
+    # of the mirrored kernel u^eR (1-u)^eL
+    T[:, 0], T[:, 1] = first_interval_moments(N, eL, eR)
+    last_k, last_km1 = first_interval_moments(N, eR, eL)
     k = np.arange(2, N + 1)
     T[k, k - 1] += last_km1[2:]
     T[k, k] += last_k[2:]

@@ -206,7 +206,6 @@ def _formula_peaks(field, calls):
     # tracemalloc peak of each call, with the hat tables it reads prebuilt
     alpha, N = field.alpha, field.grid.N
     hat_moment_tables(N, -alpha, alpha - 1.0)
-    first_interval_moments(N, -alpha, alpha - 1.0)
     peaks = []
     for call in calls:
         tracemalloc.start()
@@ -768,10 +767,15 @@ def test_identity_residual_sums_only_requested_rows(n, monkeypatch):
 # --------------------------------------------- the field from t_star on
 
 
+def _no_jacobi_rule(*args):
+    raise AssertionError("a Jacobi rule built outside quadrules")
+
+
 @pytest.mark.parametrize("span", [(0.0, 1.0), (0.2, 1.7)],
                          ids=["dyadic", "non-dyadic"])
 @pytest.mark.parametrize("n", [1, 2])
-def test_restart_grid_field_is_the_full_fields_sub_triangle(n, span):
+def test_restart_grid_field_is_the_full_fields_sub_triangle(n, span,
+                                                           monkeypatch):
     # k0 = 63, 64, 65 put t_star on either side of the march's first block
     # edge; the formulas read the restart field where they read the full one
     N, alpha = 130, 0.55
@@ -793,6 +797,12 @@ def test_restart_grid_field_is_the_full_fields_sub_triangle(n, span):
             assert _rel(got.x.values, want.x.values) <= 1e-14
             assert np.array_equal(got.x.values[:k0 + 1],
                                   problem.history.w_star.values)
+        # the formula head reads quadrules.first_interval_rule: the compact
+        # formula, which samples no Caputo density, builds no Jacobi rule
+        with monkeypatch.context() as m:
+            m.setattr(cauchy, "jacobi_rule_01", _no_jacobi_rule)
+            again = represent_gc_compact(problem, field)
+        assert np.array_equal(again.x.values, got.x.values)
         steps = list(range(1, N - k0 + 1))
         _, scale = _reference_identity_residual(problem, full, k0, steps)
         got = gc_compact_identity_residual(problem, field, steps)

@@ -16,7 +16,7 @@ import pytest
 
 import fracfund
 from fracfund import (GridFn, cauchy, checks, cli, fundamental, gamma, gridfn,
-                      read_csv, special, write_csv)
+                      quadrules, read_csv, special, write_csv)
 from fracfund.cli import main
 from fracfund.quadrules import jacobi_rule_01
 
@@ -734,6 +734,34 @@ def test_march_defect_fails_duality(monkeypatch):
 
     monkeypatch.setattr(fundamental, "_field_march", scaled)
     assert not duality()["pass"]  # measured 1.7e-2
+
+
+def test_first_interval_rule_defect_fails_transfer_identity(monkeypatch):
+    # a defect in the first subinterval's rule, which every hat table's
+    # first panel and every formula head read: the march and J share it,
+    # and J against the fractional integral sees it
+    problem, N = cli.load_problem(README_CONFIG, ".")
+    rule = quadrules.first_interval_rule
+    caches = (quadrules.hat_moment_tables, quadrules.first_interval_moments)
+
+    def transfer():
+        for cache in caches:
+            cache.cache_clear()
+        records, _ = checks.run_suite(problem, N)
+        return {r["name"]: r for r in records}["op_transfer_identity"]
+
+    def scaled(*args):
+        v, W = rule(*args)
+        return v, 1.01 * W
+
+    try:
+        assert transfer()["pass"]  # measured 1.7e-7
+        for module in (quadrules, cauchy):
+            monkeypatch.setattr(module, "first_interval_rule", scaled)
+        assert not transfer()["pass"]  # measured 1.1e-3
+    finally:
+        for cache in caches:  # no scaled table outlives the test
+            cache.cache_clear()
 
 
 def test_verify_coefficient_equal_at_seven_points(tmp_path):

@@ -30,6 +30,7 @@ from fracfund.operators import _kernel_profile, beta_sym
 from fracfund.oracle import QuadSpec, adaptive_quad
 from fracfund.quadrules import (
     first_interval_moments,
+    first_interval_rule,
     hat_moment_tables,
     jacobi_rule_01,
     left_moment_weights,
@@ -444,6 +445,9 @@ def test_table_rows_do_not_depend_on_table_size(N, M, alpha, eL, eR):
     for b, s in zip(first_interval_moments(N, eL, eR),
                     first_interval_moments(M, eL, eR)):
         assert np.array_equal(b[:M + 1], s)
+    (v, W), (v_small, W_small) = (first_interval_rule(N, eL, eR),
+                                  first_interval_rule(M, eL, eR))
+    assert np.array_equal(v, v_small) and np.array_equal(W[:M + 1], W_small)
     h = 1.0 / N
     assert np.array_equal(_dense_left_weights(alpha, N, h)[:M + 1, :M + 1],
                           _dense_left_weights(alpha, M, h))
@@ -562,7 +566,10 @@ def test_weight_tables_match_row_builders(N, alpha):
         assert T.shape == (N + 1, N + 1) and not T.flags.writeable
         assert hat_moment_tables(N, eL, eR) is T
         assert np.all(np.triu(T, 1) == 0.0) and np.all(T[0] == 0.0)
+        # column 0 is the first subinterval's rule alone, summed as its moment
+        v, W = first_interval_rule(N, eL, eR)
         assert np.array_equal(T[:, 0], sig0)
+        assert np.array_equal(sig0, np.sum(W * (1.0 - v), axis=1))
         np.testing.assert_allclose(T, _reference_dense_table(N, eL, eR),
                                    rtol=1e-15, atol=0.0)
         for k in range(1, N + 1):
