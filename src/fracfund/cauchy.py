@@ -230,7 +230,8 @@ def solve_direct(problem: CauchyProblem, N: int) -> Solution:
     def store(k, X):
         xv[k0 + k] = X[:, 0, 0]
 
-    phases = _march(Anodes, T, np.full(M + 1, 1.0 / gamma(alpha)), rhs,
+    phases = _march(Anodes, lambda k0, k1: T[k0:k1, :k1],
+                    np.full(M + 1, 1.0 / gamma(alpha)), rhs,
                     np.zeros((M + 1, problem.n, 1, 1)), store)
     return _assemble(problem, xv, METHOD_DIRECT, t_start, **phases)
 

@@ -7,13 +7,13 @@ equation multiplies the coefficient from the right, is the same march on the
 mirrored, transposed coefficient, and cauchy.solve_direct is the same march
 with one column. A fixed-point iteration under an exponentially weighted norm
 is kept as a cross-check. The field's marches, the iteration and dual_residual
-(verify's duality) read the weights from _field_weights. A field march keeps
-its running products A F in the zero half of the field's own buffer, above
-the diagonal, so a field costs one square per component. Every integral of
-the field against node data (dual_residual, the cauchy formulas) is one row
-sum, _field_rows, in one fused pass per term. Every solver takes a grid that
-ends at theta and starts at t0 or later (_check_grid). A-priori sup and
-Hoelder bounds for F are computed from the coefficient's sup norm.
+(verify's duality) read _field_weights; a march builds its table by tile rows.
+A march keeps its running products A F in the zero half of the field's own
+buffer, above the diagonal, so a field costs one square per component. Every
+integral of the field against node data (dual_residual, the cauchy formulas)
+is one row sum, _field_rows, in one fused pass per term. Every solver takes a
+grid that ends at theta and starts at t0 or later (_check_grid). A-priori sup
+and Hoelder bounds for F are computed from the coefficient's sup norm.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import (DomainError, GridMismatchError, NonConvergenceError,
 from .gridfn import write_table
 from .operators import op_constants
 from .problem import CauchyProblem
-from .quadrules import hat_moment_tables
+from .quadrules import hat_moment_tables, hat_table_rows
 from .special import gamma, ml_scalar
 
 _EXP_GUARD = 700.0
@@ -237,7 +237,7 @@ def _substitute(LU, swaps, X, first=0):
         raise np.linalg.LinAlgError(_INVALID) from None
 
 
-def _march(Anodes, tables, c, rhs, AX, store):
+def _march(Anodes, block, c, rhs, AX, store):
     """March the product-integration Volterra equation over K = len(c) - 1
     steps; returns the seconds spent factoring (factor_s) and substituting
     (solves_s).
@@ -247,25 +247,25 @@ def _march(Anodes, tables, c, rhs, AX, store):
         (I - c_k T[k, k] A_{j+k}) X_{k,j}
             = R_k + c_k sum_{m<k} T[k, m] A_{j+m} X_{m,j}
 
-    for the n x p block X_{k,j}, given Anodes[i] = A_i, the rows of tables
-    T and rhs[k] = R_k; store(k, X) receives the step's solution, X[:, :, j]
-    = X_{k,j}. The state AX, of shape (K+1, n, p, J), is the caller's and
-    batch-last: AX[m, a, b, j] is entry (a, b) of A_{j+m} X_{m,j}, and the
-    caller fills row 0. Before step m, row m of AX gathers its right-hand
-    side; the step solves for X there, hands it to store and replaces it by
-    A X. In the block of steps from k0 on, the terms m < k0 come from one
-    GEMM per entry at its start, and its systems are factored together
-    first (_factor; each step then only substitutes); in its sub-block from
-    s0 on, the terms k0 <= m < s0 come from one GEMM per entry; only s0 <=
-    m < k are summed step by step. Row m keeps partial sums past its last
-    column, K - m; they only reach columns that no later step reads. Rows
-    1..K are written before they are read, and only at m + j < K + _BLOCK,
-    so the caller may lay AX over memory that is free there (_field_march
-    does). When a block's factoring fails, its steps march up to the first
-    one that fails alone, which is named.
+    for the n x p block X_{k,j}, given Anodes[i] = A_i, rhs[k] = R_k and T
+    only as block(k0, k1) = T[k0:k1, :k1], asked once per block, in order;
+    store(k, X) receives the step's solution, X[:, :, j] = X_{k,j}. The
+    state AX, of shape (K+1, n, p, J), is the caller's and batch-last:
+    AX[m, a, b, j] is entry (a, b) of A_{j+m} X_{m,j}, and the caller fills
+    row 0. Before step m, row m of AX gathers its right-hand side; the step
+    solves for X there, hands it to store and replaces it by A X. In the
+    block of steps from k0 on, the terms m < k0 come from one GEMM per entry
+    at its start, and its systems are factored together first (_factor; each
+    step then only substitutes); in its sub-block from s0 on, the terms k0
+    <= m < s0 come from one GEMM per entry; only s0 <= m < k are summed step
+    by step. Row m keeps partial sums past its last column, K - m; they only
+    reach columns that no later step reads. Rows 1..K are written before
+    they are read, and only at m + j < K + _BLOCK, so the caller may lay AX
+    over memory that is free there (_field_march does). When a block's
+    factoring fails, its steps march up to the first one that fails alone,
+    which is named.
     """
     K, n, (_, _, p, J) = len(c) - 1, Anodes.shape[-1], AX.shape
-    selfw = c * np.diagonal(tables)[:K + 1]
     singular = "self-weight system singular at step {}; refine N"
 
     Ab = np.zeros((n, n, K + _BLOCK))  # zeros past node K: those systems are I
@@ -273,17 +273,19 @@ def _march(Anodes, tables, c, rhs, AX, store):
     LU = np.empty(_BLOCK * n * n * min(J, K))
 
     def systems(s0, s1, width):
-        """Steps s0..s1-1's systems, member j of step s0 + q at q width + j."""
+        """Steps s0..s1-1 of the block, member j of step s0 + q at q width + j."""
         lu = LU[:n * n * (s1 - s0) * width].reshape(n, n, s1 - s0, width)
         window = sliding_window_view(Ab, width, axis=-1)[:, :, s0:s1]
-        np.multiply(-selfw[s0:s1, None], window, out=lu)
+        np.multiply(-selfw[s0 - k0:s1 - k0, None], window, out=lu)
         lu.reshape(n * n, -1)[::n + 1] += 1.0
         return lu.reshape(n, n, -1)
 
     factor_s = solves_s = 0.0
     for k0 in range(1, K + 1, _BLOCK):
         k1, live = min(k0 + _BLOCK, K + 1), min(J, K + 1 - k0)
-        T = c[k0:k1, None] * tables[k0:k1, k0:k1]
+        W = block(k0, k1)
+        selfw = c[k0:k1] * np.diagonal(W, k0)
+        T = c[k0:k1, None] * W[:, k0:]
         t_factor = time.perf_counter()
         bad, lu = k1, systems(k0, k1, live)
         try:
@@ -302,7 +304,7 @@ def _march(Anodes, tables, c, rhs, AX, store):
             rows = slice(s0 - k0, s1 - k0)
             for a, b in np.ndindex(n, p):
                 if s0 == k0:  # R_k and the block's far sums
-                    np.matmul(tables[k0:k1, :k0], AX[:k0, a, b, :live],
+                    np.matmul(W[:, :k0], AX[:k0, a, b, :live],
                               out=AX[k0:k1, a, b, :live])
                     AX[k0:k1, a, b, :live] *= c[k0:k1, None]
                     AX[k0:k1, a, b, :live] += rhs[k0:k1, a, b, None]
@@ -327,17 +329,18 @@ def _march(Anodes, tables, c, rhs, AX, store):
 
 
 def _field_weights(grid, alpha):
-    """The field equation's table T, c_k = (k h)^alpha/Gamma(alpha), Gamma."""
+    """The field equation's table T's arguments, c_k = (k h)^alpha/Gamma(alpha), Gamma."""
     ga = gamma(alpha)
-    return (hat_moment_tables(grid.N, alpha - 1.0, alpha - 1.0),
+    return ((grid.N, alpha - 1.0, alpha - 1.0),
             (np.arange(grid.N + 1) * grid.h) ** alpha / ga, ga)
 
 
 def _field_march(Anodes, alpha, grid):
     """_march for solve_F on the coefficient samples Anodes: one column per
     diagonal node, _field_weights' T and c_k, R_k = Id/Gamma(alpha). Returns
-    the component planes and the march's meta: the phase times and the
-    bytes of the field's buffer (field_bytes).
+    the component planes and the march's meta: the phase times and the bytes
+    of the field's buffer (field_bytes). T comes from hat_table_rows a tile
+    row at a time, as the march reaches it; tables_s holds their seconds.
 
     The planes are buf[:, :, 1:, :N+1] of one zeroed buffer buf of shape
     (n, n, N+2, N+1+_BLOCK), and the march's state lies in the rest of it:
@@ -350,8 +353,19 @@ def _field_march(Anodes, alpha, grid):
     """
     t_start = time.perf_counter()
     N, n = grid.N, Anodes.shape[-1]
-    tables, c, ga = _field_weights(grid, alpha)
-    t_tables = time.perf_counter()
+    table, c, ga = _field_weights(grid, alpha)
+    rows = hat_table_rows(*table)
+    r0, R = next(rows)
+    tables_s = time.perf_counter() - t_start
+
+    def block(k0, k1):  # T[k0:k1, :k1], in the one tile row alive (_BLOCK divides 128)
+        nonlocal r0, R, tables_s
+        if k1 > r0 + len(R):
+            t_row = time.perf_counter()
+            r0, R = next(rows)
+            tables_s += time.perf_counter() - t_row
+        return R[k0 - r0:k1 - r0, :k1]
+
     buf = np.zeros((n, n, N + 2, N + 1 + _BLOCK))
     planes, W = buf[:, :, 1:, :N + 1], buf.shape[-1]
     sa, sb, sr, sc = buf.strides
@@ -363,13 +377,13 @@ def _field_march(Anodes, alpha, grid):
     def store(k, X):
         bflat[:, :, (k + 1) * W::W + 1][:, :, :X.shape[-1]] = X
 
-    phases = _march(Anodes, tables, c,
+    phases = _march(Anodes, block, c,
                     np.broadcast_to(np.eye(n) / ga, (N + 1, n, n)), AX, store)
     for m in range(1, N + 1):
         AX[m, :, :, :N + 1 - m] = 0.0
-    return planes, {"tables_s": t_tables - t_start,
-                    "march_s": time.perf_counter() - t_tables, **phases,
-                    "field_bytes": buf.nbytes}
+    return planes, {"tables_s": tables_s,
+                    "march_s": time.perf_counter() - t_start - tables_s,
+                    **phases, "field_bytes": buf.nbytes}
 
 
 def solve_F(problem: CauchyProblem, grid: TriangleGrid) -> FundamentalField:
@@ -381,10 +395,10 @@ def solve_F(problem: CauchyProblem, grid: TriangleGrid) -> FundamentalField:
     [t0, theta): F(t, s) for s >= grid.t0 reads A on [s, t] only, so such a
     grid gives the sub-triangle of the field on [t0, theta], which is all a
     restart from that point reads (cauchy.restart_grid). meta records the
-    time spent on the hat-moment tables (tables_s), on the march (march_s)
-    and, within the march, on the factorisations (factor_s) and the
-    substitutions (solves_s), and the bytes of the field's buffer
-    (field_bytes).
+    time spent on the hat-moment rows, a tile row at a time (tables_s), on
+    the rest of the march (march_s) and, within it, on the factorisations
+    (factor_s) and the substitutions (solves_s), and the bytes of the
+    field's buffer (field_bytes).
     """
     _check_grid(problem, grid)
     t_start = time.perf_counter()
@@ -410,8 +424,8 @@ def solve_F_picard(problem: CauchyProblem, grid: TriangleGrid,
     t_start = time.perf_counter()
     alpha, N, n = problem.alpha, grid.N, problem.n
     Anodes = problem.A.at(grid.t)
-    tables, ck, ga = _field_weights(grid, alpha)
-    diag = np.eye(n) / ga
+    table, ck, ga = _field_weights(grid, alpha)
+    tables, diag = hat_moment_tables(*table), np.eye(n) / ga
     if math.isinf(bounds(problem).M_F):
         raise NonConvergenceError(
             "fixed-point sweep cannot certify convergence: exp(kappa (theta - t0))"
@@ -512,8 +526,8 @@ def dual_residual(problem: CauchyProblem, field: FundamentalField, columns):
     _check_grid(problem, field.grid)
     if not len(columns) or min(columns) < 0 or max(columns) > field.grid.N:
         raise DomainError(f"need columns in 0..{field.grid.N}, got {list(columns)}")
-    T, c, ga = _field_weights(field.grid, problem.alpha)
-    Anodes, K = problem.A.at(field.grid.t), len(c)
+    table, c, ga = _field_weights(field.grid, problem.alpha)
+    T, Anodes, K = hat_moment_tables(*table), problem.A.at(field.grid.t), len(c)
     return np.max([np.abs(field.values[j:, j] - np.eye(problem.n) / ga
                           - c[:K - j, None, None] * _field_rows(
                               field, j, [((T[:, 0], T), Anodes[j:])])).max()

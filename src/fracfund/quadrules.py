@@ -10,8 +10,8 @@ and the formulas' exact head.  Every table is lower triangular, and its row
 k, the weights of nodes 0..k for target k, does not depend on N: one table
 at the grid's N serves the grid.  The left-moment table is a first column
 and a Toeplitz view of O(N) numbers, whose products outside the march are
-one FFT convolve; the hat-moment tables are read-only dense arrays, built in
-tiles of GEMMs that do not depend on N.
+one FFT convolve; the hat-moment tables come in tile rows of GEMMs that do
+not depend on N, built one at a time for the march, stacked for the rest.
 """
 
 from functools import lru_cache
@@ -106,28 +106,12 @@ def first_interval_moments(N: int, eL: float, eR: float):
     return sig0, sig1
 
 
-@lru_cache(maxsize=2)
-def hat_moment_tables(N: int, eL: float, eR: float):
-    """Dense table T of hat moments of u^eL (1-u)^eR, rows k = 0..N.
-
-    T[k, m] for m <= k approximates  int_0^1 u^eL (1-u)^eR hat_m(u) du  on
-    the uniform u-nodes m/k; the approximation error is the Gauss error of
-    analytic non-weight factors and sits far below the schemes' own
-    discretization error.  Row 0 and every entry above the diagonal are zero.
-    Interior panels come in full-size tiles of GEMMs, so row k depends only
-    on k and the exponents: T[:M + 1, :M + 1] is the table for M <= N, and
-    one table at the grid's N serves every caller on the grid.  The result
-    is read-only and cached for two exponent pairs: a grid uses (alpha-1,
-    alpha-1) for the march and J, and (-alpha, alpha-1) for the formulas.
-    """
-    T = np.zeros((N + 1, N + 1))
-    # the first subinterval [0, 1/k]; for k >= 2 the last one is the first one
-    # of the mirrored kernel u^eR (1-u)^eL
-    T[:, 0], T[:, 1] = first_interval_moments(N, eL, eR)
+def hat_table_rows(N: int, eL: float, eR: float):
+    """hat_moment_tables' rows, built a tile row at a time and cached
+    nowhere: yields (k0, T[k0:k1, :k1]) for k0 = 1, 1 + B, ..., k1 = min(k0
+    + B, N + 1), B = _TABLE_ROWS, from O(N) factors built once, first."""
+    sig0, sig1 = first_interval_moments(N, eL, eR)
     last_k, last_km1 = first_interval_moments(N, eR, eL)
-    k = np.arange(2, N + 1)
-    T[k, k - 1] += last_km1[2:]
-    T[k, k] += last_k[2:]
     # interior panel m of row k, [m/k, (m+1)/k] for 1 <= m <= k-2: with
     # d = k-1-m its integrand is k^(-eL-eR) (m+s)^eL (d+1-s)^eR, so node m
     # gets k^(-1-eL-eR) (Q[d] lo[m] + Q[d+1] hi[m]) from panels m and m-1
@@ -144,12 +128,38 @@ def hat_moment_tables(N: int, eL: float, eR: float):
     Q[B:] = (np.arange(2.0, L + 2.0)[:, None] - s) ** eR
     c = np.arange(1.0, L + 1.0) ** (-1.0 - eL - eR)
     for k0 in range(1, N + 1, B):  # k0 = 1 + tile * B, so c starts at k = 1
-        for m0 in range(0, k0, B):  # T[k0 + i, m0 + m] reads G[B - 1 + i - m, m]
+        k1 = min(k0 + B, N + 1)
+        R = np.zeros((k1 - k0, k1))
+        # the first subinterval [0, 1/k]; for k >= 2 the last (mirrored first)
+        R[:, 0], R[:, 1] = sig0[k0:k1], sig1[k0:k1]
+        k = np.arange(max(k0, 2), k1)
+        R[k - k0, k - 1] += last_km1[k]
+        R[k - k0, k] += last_k[k]
+        for m0 in range(0, k0, B):  # R[i, m0 + m] reads G[B - 1 + i - m, m]
             G = Q[k0 - m0 - 1:k0 - m0 + 2 * B - 2] @ lo[m0:m0 + B].T
             G += Q[k0 - m0:k0 - m0 + 2 * B - 1] @ hi[m0:m0 + B].T
-            V = as_strided(G[B - 1:], (B, B), (G.strides[0], G.strides[1] - G.strides[0]))
-            tile = T[k0:k0 + B, m0:m0 + B]  # cut at row and column N
-            tile += (c[k0 - 1:k0 - 1 + B, None] * V)[:len(tile), :tile.shape[1]]
+            V = as_strided(G[B - 1:], (k1 - k0, B), (G.strides[0], G.strides[1] - G.strides[0]))
+            U = V[:, :k1 - m0].copy()  # cut at column k1 - 1, and contiguous
+            R[:, m0:m0 + B] += np.multiply(U, c[k0 - 1:k1 - 1, None], out=U)
+        yield k0, R
+
+
+@lru_cache(maxsize=2)
+def hat_moment_tables(N: int, eL: float, eR: float):
+    """Dense table T of hat moments of u^eL (1-u)^eR, rows k = 0..N.
+
+    T[k, m] for m <= k approximates  int_0^1 u^eL (1-u)^eR hat_m(u) du  on
+    the uniform u-nodes m/k; the approximation error is the Gauss error of
+    analytic non-weight factors and sits far below the schemes' own
+    discretization error.  Row 0 and every entry above the diagonal are zero.
+    T stacks hat_table_rows' tile rows, so row k depends only on k and the
+    exponents: T[:M + 1, :M + 1] is the table for M <= N.  Read-only and
+    cached for the readers that read it many times: a grid's J, Picard sweep
+    and dual residual (alpha-1, alpha-1), and its formulas (-alpha, alpha-1).
+    """
+    T = np.zeros((N + 1, N + 1))
+    for k0, R in hat_table_rows(N, eL, eR):
+        T[k0:k0 + len(R), :R.shape[1]] = R
     T.flags.writeable = False
     return T
 

@@ -394,6 +394,7 @@ def test_restart_marches_the_field_from_t_star(tmp_path):
                                       "march_s", "factor_s", "solves_s"}
         assert side["field"]["N"] == M and side["field"]["t0"] == t_star
         assert side["field"]["field_bytes"] == 4 * (M + 2) * (M + 65) * 8
+        assert 0.0 < side["field"]["tables_s"] and 0.0 <= side["field"]["march_s"]
 
 
 def test_restart_t_star_off_the_grid_exits_2(tmp_path, capsys):
@@ -496,6 +497,8 @@ def test_fundamental_zero_coefficient(tmp_path):
     assert vals == {1.0 / gamma(0.5)}
     side = json.loads((tmp_path / "field.csv.meta.json").read_text())
     assert side["alpha"] == 0.5 and side["method"] == "march"
+    assert 0.0 < side["tables_s"]
+    assert side["tables_s"] + side["march_s"] <= side["wall_time"]
     assert 0.0 <= side["factor_s"] <= side["march_s"]
     assert 0.0 <= side["solves_s"] <= side["march_s"]
     assert side["write_s"] >= 0.0 and side["write_procs"] >= 1

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import re
 import tempfile
+import time
 import tracemalloc
 import warnings
 
@@ -27,12 +28,14 @@ from fracfund import (
     solve_G_dual,
     z_value,
 )
-from fracfund import gridfn
+from fracfund import fundamental, gridfn, quadrules
+from fracfund.cauchy import restart_grid
 from fracfund.fundamental import (FundamentalField, _factor, _field_weights,
                                   _march, _substitute, dual_residual)
 from fracfund.operators import op_constants
 from fracfund.oracle import constant_coeff_F
-from fracfund.quadrules import hat_moment_tables
+from fracfund.problem import History
+from fracfund.quadrules import hat_moment_tables, hat_table_rows
 
 
 def _ivp(A, n=2, alpha=0.5, theta=1.0, w0=None):
@@ -274,8 +277,8 @@ def test_substitution_failure_names_its_step():
     Anodes = np.broadcast_to([[0.0, 0.0], [-1.0, 0.0]], (K + 1, 2, 2))
     rhs = np.full((K + 1, 2, 1), np.inf)
     with pytest.raises(SingularSystemError, match="at step 1;"):
-        _march(Anodes, tables, c, rhs, np.zeros((K + 1, 2, 1, 1)),
-               lambda k, X: None)
+        _march(Anodes, lambda k0, k1: tables[k0:k1, :k1], c, rhs,
+               np.zeros((K + 1, 2, 1, 1)), lambda k, X: None)
 
 
 @pytest.mark.parametrize("N", [65, 130])
@@ -304,7 +307,8 @@ def _separate_state_march(Anodes, alpha, grid):
     # the field march with the state in an array of its own, apart from
     # the planes
     N, n = grid.N, Anodes.shape[-1]
-    tables, c, ga = _field_weights(grid, alpha)
+    table, c, ga = _field_weights(grid, alpha)
+    tables = hat_moment_tables(*table)
     planes = np.zeros((n, n, N + 1, N + 1))
     diag = np.arange(N + 1)
     planes[:, :, diag, diag] = (np.eye(n) / ga)[:, :, None]
@@ -315,8 +319,8 @@ def _separate_state_march(Anodes, alpha, grid):
         j = np.arange(X.shape[-1])
         planes[:, :, j + k, j] = X
 
-    _march(Anodes, tables, c, np.broadcast_to(np.eye(n) / ga, (N + 1, n, n)),
-           AX, store)
+    _march(Anodes, lambda k0, k1: tables[k0:k1, :k1], c,
+           np.broadcast_to(np.eye(n) / ga, (N + 1, n, n)), AX, store)
     return planes
 
 
@@ -359,6 +363,43 @@ def test_field_peak_memory(solve):
     assert field.meta["field_bytes"] == n * n * (N + 2) * (N + 65) * 8
     table_bytes = (N + 1) ** 2 * 8
     assert peak <= 1.25 * (field.planes.nbytes + table_bytes)  # measured 1.17
+
+
+def _restart_problem(N, k0, alpha=0.6, n=2):
+    # a history up to node k0 of an N + k0 step grid with step 1/N, so
+    # that restart_grid(problem, N + k0) is an N step field on [t_star, theta]
+    theta = (N + k0) / N
+    t = np.linspace(0.0, theta, N + k0 + 1)[:k0 + 1]
+    seg = gridfn.GridFn(0.0, t[-1], k0, np.stack([np.cos(t), t], axis=1)[:, :n])
+    return CauchyProblem(alpha, 0.0, theta, _drifting(n), Forcing.zero(n),
+                         History.from_samples(seg))
+
+
+def test_march_holds_no_dense_table():
+    # the march builds its hat-table rows a tile row at a time and caches
+    # no (N+1)^2 table: from cleared caches, the traced peak above the
+    # field's buffer stays below one such table (8.4 MB) for F, G and a
+    # restart field (measured 5.9 MB; a march that builds and caches the
+    # whole table reads 13.3 MB)
+    N, n, k0 = 1024, 2, 256
+    p = CauchyProblem.from_initial_value(0.6, 0.0, 1.0, _drifting(n),
+                                         Forcing.zero(n), np.ones(n))
+    g = TriangleGrid(0.0, 1.0, N)
+    restart = _restart_problem(N, k0)
+    for run in (lambda: solve_F(p, g), lambda: solve_G_dual(p, g),
+                lambda: solve_F(restart, restart_grid(restart, N + k0))):
+        for cache in (hat_moment_tables, quadrules.first_interval_moments,
+                      quadrules.jacobi_rule_01):
+            cache.cache_clear()
+        tracemalloc.start()
+        try:
+            field = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert field.grid.N == N
+        assert peak - field.meta["field_bytes"] < (N + 1) ** 2 * 8
+        assert hat_moment_tables.cache_info().currsize == 0
 
 
 def _solve_small(M, R):
@@ -591,11 +632,35 @@ def test_meta_contents():
     d = solve_G_dual(p, g).meta
     assert d["method"] == "dual_march"
     for meta in (m, d):
-        assert meta["tables_s"] >= 0.0 and meta["march_s"] >= 0.0
+        assert meta["tables_s"] > 0.0 and meta["march_s"] >= 0.0
         assert meta["tables_s"] + meta["march_s"] <= meta["wall_time"]
         assert 0.0 <= meta["solves_s"] <= meta["march_s"]
         assert 0.0 <= meta["factor_s"] <= meta["march_s"]
         assert meta["factor_s"] + meta["solves_s"] <= meta["march_s"]
+
+
+def test_tables_s_holds_every_tile_row(monkeypatch):
+    # each tile row costs a 0.02 s sleep more: tables_s holds the sleeps
+    # of the rows the march builds as it goes, and since tables_s + march_s
+    # stays within the wall time, march_s holds none of them
+    delay, N = 0.02, 300
+
+    def slow_rows(*args):
+        for row in hat_table_rows(*args):
+            time.sleep(delay)
+            yield row
+
+    p = _ivp(Coefficient.rotation())
+    restart = _restart_problem(N, 40)
+    runs = ((solve_F, p, TriangleGrid(0.0, 1.0, N)),
+            (solve_G_dual, p, TriangleGrid(0.0, 1.0, N)),
+            (solve_F, restart, restart_grid(restart, N + 40)))
+    monkeypatch.setattr(fundamental, "hat_table_rows", slow_rows)
+    for solve, problem, g in runs:
+        meta = solve(problem, g).meta
+        assert meta["tables_s"] >= 3 * delay  # three tile rows at N = 300
+        assert 0.0 <= meta["march_s"]
+        assert meta["tables_s"] + meta["march_s"] <= meta["wall_time"]
 
 
 # ------------------------------------------------------------------- bounds

@@ -32,6 +32,7 @@ from fracfund.quadrules import (
     first_interval_moments,
     first_interval_rule,
     hat_moment_tables,
+    hat_table_rows,
     jacobi_rule_01,
     left_moment_weights,
     left_moments_at,
@@ -435,13 +436,24 @@ def test_hat_tables_partition_of_unity():
         assert tables[k].sum() == pytest.approx(want, rel=1e-10)
 
 
-@pytest.mark.parametrize("N, M", [(40, 17), (64, 63), (300, 129), (1280, 700)])
+@pytest.mark.parametrize("N, M", [(2, 1), (40, 17), (64, 63), (128, 127),
+                                  (300, 129), (1280, 700)])
 @pytest.mark.parametrize("alpha, eL, eR", [(0.35, -0.35, -0.65),
                                            (0.6, -0.4, -0.4)])
 def test_table_rows_do_not_depend_on_table_size(N, M, alpha, eL, eR):
     # one table at the grid's N serves every M <= N, bit for bit
     big, small = hat_moment_tables(N, eL, eR), hat_moment_tables(M, eL, eR)
     assert np.array_equal(big[:M + 1, :M + 1], small)
+    # and every tile row that the field march builds, uncached, is the
+    # table's rows bit for bit, so dual_residual checks the march's weights
+    for size, table in ((N, big), (M, small)):
+        starts = []
+        for k0, R in hat_table_rows(size, eL, eR):
+            k1 = min(k0 + 128, size + 1)
+            assert R.shape == (k1 - k0, k1)
+            assert np.array_equal(R, table[k0:k1, :k1])
+            starts.append(k0)
+        assert starts == list(range(1, size + 1, 128))
     for b, s in zip(first_interval_moments(N, eL, eR),
                     first_interval_moments(M, eL, eR)):
         assert np.array_equal(b[:M + 1], s)
